@@ -96,10 +96,6 @@ def poly_neg(a: tuple) -> tuple:
     return tuple(-c for c in a)
 
 
-def poly_sub(a: tuple, b: tuple) -> tuple:
-    return poly_add(a, poly_neg(b))
-
-
 def poly_mul(a: tuple, b: tuple) -> tuple:
     if not a or not b:
         return ()
@@ -108,13 +104,6 @@ def poly_mul(a: tuple, b: tuple) -> tuple:
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
     return poly_trim(out)
-
-
-def poly_scale(a: tuple, c) -> tuple:
-    c = Fraction(c)
-    if c == 0:
-        return ()
-    return tuple(x * c for x in a)
 
 
 def poly_divmod(a: tuple, b: tuple) -> tuple:

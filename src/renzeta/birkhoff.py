@@ -63,21 +63,33 @@ class PrecisionBudget:
 
     requested_precision: int
     max_pole_depth: int
-    required_constant_term_exactness: bool = True
 
     def __post_init__(self):
         if self.requested_precision < 1:
             raise ValueError("requested precision must be >= 1")
         if self.max_pole_depth < 0:
             raise ValueError("pole depth budget must be >= 0")
-        if self.required_constant_term_exactness \
-                and self.requested_precision <= self.max_pole_depth:
+        if self.requested_precision <= self.max_pole_depth:
             raise ValueError(
                 "exact constant terms need precision > pole depth budget")
 
 
+def _linear_extension(character, word_map,
+                      x: HopfElement) -> TruncatedLaurentSeries:
+    """Sum of coeff * word_map(word) over the terms of x, in the ring and
+    window of the character."""
+    acc = zero_series(character.ring, character.budget.requested_precision)
+    for word, coeff in x.terms.items():
+        acc = acc + word_map(word).scale(coeff)
+    return acc
+
+
 class Character:
-    """Word-indexed series with multiplicative meaning; linear on elements."""
+    """Word-indexed series with multiplicative meaning; linear on elements.
+
+    Only words of the non-positive sector within the budget's pole depth
+    have values; any other word raises before the word map runs.
+    """
 
     __slots__ = ("ring", "budget", "_word_fn", "_cache")
 
@@ -90,6 +102,11 @@ class Character:
     def on_word(self, word: Word) -> TruncatedLaurentSeries:
         hit = self._cache.get(word)
         if hit is None:
+            depth = word.pole_depth()
+            if depth > self.budget.max_pole_depth:
+                raise InsufficientPrecision(
+                    f"word {word} has pole depth {depth}, beyond the "
+                    f"budget {self.budget.max_pole_depth}")
             if len(word) == 0:
                 hit = one_series(self.ring, self.budget.requested_precision)
             else:
@@ -98,10 +115,7 @@ class Character:
         return hit
 
     def on_element(self, x: HopfElement) -> TruncatedLaurentSeries:
-        acc = zero_series(self.ring, self.budget.requested_precision)
-        for word, coeff in x.terms.items():
-            acc = acc + self.on_word(word).scale(coeff)
-        return acc
+        return _linear_extension(self, self.on_word, x)
 
 
 class DecompositionSession:
@@ -117,17 +131,6 @@ class DecompositionSession:
             EMPTY_WORD: one}
         self.memo_plus: dict[Word, TruncatedLaurentSeries] = {
             EMPTY_WORD: one}
-
-    def _admit(self, word: Word):
-        if not word.is_nonpositive():
-            raise ValueError(
-                f"{word} leaves the non-positive sector this "
-                f"decomposition is defined on")
-        depth = word.pole_depth()
-        if depth > self.character.budget.max_pole_depth:
-            raise InsufficientPrecision(
-                f"word {word} has pole depth {depth}, beyond the session "
-                f"budget {self.character.budget.max_pole_depth}")
 
     def _ensure(self, word: Word):
         for end in range(1, len(word) + 1):
@@ -145,31 +148,19 @@ class DecompositionSession:
 
     def counterterm(self, word: Word) -> TruncatedLaurentSeries:
         """The pure-pole part phi_minus on one word."""
-        self._admit(word)
         self._ensure(word)
         return self.memo_minus[word]
 
     def renormalized(self, word: Word) -> TruncatedLaurentSeries:
         """The pole-free part phi_plus on one word."""
-        self._admit(word)
         self._ensure(word)
         return self.memo_plus[word]
 
     def counterterm_of(self, x: HopfElement) -> TruncatedLaurentSeries:
-        acc = zero_series(
-            self.character.ring,
-            self.character.budget.requested_precision)
-        for word, coeff in x.terms.items():
-            acc = acc + self.counterterm(word).scale(coeff)
-        return acc
+        return _linear_extension(self.character, self.counterterm, x)
 
     def renormalized_of(self, x: HopfElement) -> TruncatedLaurentSeries:
-        acc = zero_series(
-            self.character.ring,
-            self.character.budget.requested_precision)
-        for word, coeff in x.terms.items():
-            acc = acc + self.renormalized(word).scale(coeff)
-        return acc
+        return _linear_extension(self.character, self.renormalized, x)
 
 
 def convolve(f, g, word: Word) -> TruncatedLaurentSeries:
@@ -221,9 +212,6 @@ def verify_differential_compatibility(session: DecompositionSession,
                                       word: Word) -> list:
     """Check that both decomposition parts intertwine the word derivation
     with d/d(eps): part(d word) = (part(word))' for plus and minus."""
-    if not word.is_nonpositive():
-        raise ValueError("differential compatibility lives in the "
-                         "non-positive sector")
     lowered = differentiate(word)
     reports = []
     for label, by_word, linear in (

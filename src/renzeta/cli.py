@@ -10,14 +10,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-from fractions import Fraction
 from itertools import product as iproduct
 
 from renzeta.arith import DeltaRationalFunction, PoleAtZero
+from renzeta.hopf import _parse_direction
 from renzeta.laurent import PrecisionError
 from renzeta.mzv import (
-    pole_depth,
+    argument_word,
     regularized_expansion,
     renorm_directional,
     renorm_mzv,
@@ -39,18 +40,21 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # "-2,-2" is an exponent list, not an option; subparsers are built
+        # from this class and inherit the matcher
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 
 
 def _parse_exponents(text: str) -> tuple:
     try:
-        values = tuple(int(p.strip()) for p in text.split(","))
+        return tuple(int(p.strip()) for p in text.split(","))
     except ValueError:
         raise UsageError(f"cannot parse exponent list {text!r}") from None
-    if any(v > 0 for v in values):
-        raise UsageError("exponents must be <= 0")
-    return values
 
 
 def _parse_directions(text: str, count: int) -> tuple:
@@ -61,18 +65,10 @@ def _parse_directions(text: str, count: int) -> tuple:
     out = []
     for entry in entries:
         try:
-            value = Fraction(entry)
+            out.append(_parse_direction(entry))
         except (ValueError, ZeroDivisionError):
-            try:
-                value = DeltaRationalFunction.parse(entry)
-            except ValueError:
-                raise UsageError(
-                    f"cannot parse direction {entry!r}") from None
-            if value.is_rational():
-                value = value.as_rational()
-        if isinstance(value, Fraction) and value <= 0:
-            raise UsageError(f"direction {entry!r} must be positive")
-        out.append(value)
+            raise UsageError(
+                f"cannot parse direction {entry!r}") from None
     return tuple(out)
 
 
@@ -106,11 +102,9 @@ def _approx_float(value) -> float:
 # ---------------------------------------------------------------------------
 # Subcommands.
 
-def cmd_eval(args) -> int:
-    s = _parse_exponents(args.s)
-    value = renorm_mzv(s)
+def _print_value(args, s, r, value) -> int:
     if args.format == "json":
-        row = {"s": list(s), "r": "auto-delta", "value": str(value)}
+        row = {"s": list(s), "r": r, "value": str(value)}
         if args.approx:
             row["approx"] = _approx_float(value)
         _print_json(row)
@@ -120,45 +114,33 @@ def cmd_eval(args) -> int:
             line += f" ~ {_approx_float(value)!r}"
         print(line)
     return EXIT_OK
+
+
+def cmd_eval(args) -> int:
+    s = _parse_exponents(args.s)
+    return _print_value(args, s, "auto-delta", renorm_mzv(s))
 
 
 def cmd_directional(args) -> int:
     s = _parse_exponents(args.s)
     r = _parse_directions(args.r, len(s))
-    try:
-        value = renorm_directional(s, r)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    if args.format == "json":
-        row = {"s": list(s), "r": [str(x) for x in r],
-               "value": str(value)}
-        if args.approx:
-            row["approx"] = _approx_float(value)
-        _print_json(row)
-    else:
-        line = str(value)
-        if args.approx:
-            line += f" ~ {_approx_float(value)!r}"
-        print(line)
-    return EXIT_OK
+    return _print_value(
+        args, s, [str(x) for x in r], renorm_directional(s, r))
 
 
 def cmd_series(args) -> int:
     s = _parse_exponents(args.s)
     r = _parse_directions(args.r, len(s))
     precision = _resolve_precision(args)
-    depth = pole_depth(s)
+    depth = argument_word(s, r).pole_depth()
     # precision counts printed coefficients: the regularized window starts
     # at -depth, the pole-free window at 0
     target = precision - depth
-    try:
-        regularized = regularized_expansion(s, r, max(1, target))
-        if target < 1:
-            regularized = regularized.truncated(target)
-        renormalized = renormalized_series(
-            s, r, precision - 1).truncated(precision)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    regularized = regularized_expansion(s, r, max(1, target))
+    if target < 1:
+        regularized = regularized.truncated(target)
+    renormalized = renormalized_series(
+        s, r, precision - 1).truncated(precision)
     if args.format == "json":
         _print_json({
             "s": list(s),
@@ -275,15 +257,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError, PoleAtZero, PrecisionError) as exc:
+        # malformed values surface as ValueError from the layer that
+        # owns the check
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, PoleAtZero):
+            return EXIT_POLE
+        if isinstance(exc, PrecisionError):
+            return EXIT_PRECISION
         return EXIT_USAGE
-    except PoleAtZero as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_POLE
-    except PrecisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
 
 
 if __name__ == "__main__":

@@ -189,9 +189,12 @@ EMPTY_WORD = Word(())
 
 
 def _parse_direction(text: str):
-    if "d" in text:
-        return DeltaRationalFunction.parse(text)
-    return Fraction(text)
+    """Direction text to a Fraction, or to a delta-polynomial when it
+    depends on delta; the value is not checked here."""
+    if "d" not in text:
+        return Fraction(text)
+    value = DeltaRationalFunction.parse(text)
+    return value.as_rational() if value.is_rational() else value
 
 
 def _format_direction(r) -> str:
@@ -240,10 +243,6 @@ class HopfElement:
 
     def coefficient(self, word: Word):
         return self.terms.get(word, Fraction(0))
-
-    def word_length_bound(self) -> int:
-        """Filtration degree: the longest word in the support."""
-        return max((len(w) for w in self.terms), default=0)
 
     def __add__(self, other):
         if not isinstance(other, HopfElement):

@@ -70,9 +70,6 @@ class InsufficientPrecision(PrecisionError):
 # hooks the series needs; elements themselves stay plain values.
 
 class RationalField:
-    name = "rational"
-    has_variable_coefficients = False
-
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -92,9 +89,6 @@ class RationalField:
     def to_float(self, c) -> float:
         return float(c)
 
-    def format_coefficient(self, c) -> str:
-        return str(c)
-
     def coefficient_to_json(self, c):
         return str(c)
 
@@ -103,9 +97,6 @@ class RationalField:
 
 
 class DeltaFunctionField:
-    name = "delta"
-    has_variable_coefficients = False
-
     zero = DeltaRationalFunction(())
     one = DeltaRationalFunction((Fraction(1),))
 
@@ -124,9 +115,6 @@ class DeltaFunctionField:
 
     def to_float(self, c) -> float:
         raise TypeError("delta-dependent coefficients have no float value")
-
-    def format_coefficient(self, c) -> str:
-        return str(c)
 
     def coefficient_to_json(self, c):
         return c.to_json()
@@ -210,9 +198,6 @@ class TPolynomial:
 
 
 class TPolynomialRing:
-    name = "t-poly"
-    has_variable_coefficients = True
-
     zero = TPolynomial(())
     one = TPolynomial((Fraction(1),))
 
@@ -231,9 +216,6 @@ class TPolynomialRing:
 
     def to_float(self, c) -> float:
         raise TypeError("T-dependent coefficients have no float value")
-
-    def format_coefficient(self, c) -> str:
-        return str(c)
 
     def coefficient_to_json(self, c):
         return [str(x) for x in c.coeffs]
@@ -352,27 +334,25 @@ class TruncatedLaurentSeries:
 
     # -- the projector pair -------------------------------------------------
 
+    def _projection(self, poles: bool, what: str):
+        if self.precision < 0:
+            raise IncompletePolePart(
+                f"{what} needs precision >= 0, have {self.precision}")
+        vals = [c if (k < 0) == poles else self.ring.zero
+                for k, c in self.terms()]
+        return TruncatedLaurentSeries(self.ring, self.min_order, vals)
+
     def pole_part(self) -> "TruncatedLaurentSeries":
         """Strictly negative exponents, exact; needs the window past eps^0.
 
         The result keeps the argument's precision: at eps^0 and above it is
         exactly zero, so nothing unknown is left inside the window.
         """
-        if self.precision < 0:
-            raise IncompletePolePart(
-                f"pole part needs precision >= 0, have {self.precision}")
-        vals = [self.coefficient(k) if k < 0 else self.ring.zero
-                for k in range(self.min_order, self.precision)]
-        return TruncatedLaurentSeries(self.ring, self.min_order, vals)
+        return self._projection(True, "pole part")
 
     def finite_part(self) -> "TruncatedLaurentSeries":
         """Complementary projection: exponents >= 0 only."""
-        if self.precision < 0:
-            raise IncompletePolePart(
-                f"finite part needs precision >= 0, have {self.precision}")
-        vals = [self.coefficient(k) if k >= 0 else self.ring.zero
-                for k in range(self.min_order, self.precision)]
-        return TruncatedLaurentSeries(self.ring, self.min_order, vals)
+        return self._projection(False, "finite part")
 
     def constant_term(self):
         if self.precision < 1:
@@ -390,7 +370,7 @@ class TruncatedLaurentSeries:
         at the lowered exponent, since T differentiates to 1/eps.
         """
         vals = {}
-        for k, c in self._terms():
+        for k, c in self.terms():
             vals[k - 1] = k * c + self.ring.coefficient_derivative(c)
         lo = self.min_order - 1
         prec = self.precision - 1
@@ -412,19 +392,16 @@ class TruncatedLaurentSeries:
             self.ring, self.min_order,
             self.coeffs[: new_precision - self.min_order])
 
-    def _terms(self):
-        for i, c in enumerate(self.coeffs):
-            yield self.min_order + i, c
-
     def terms(self):
         """Iterate (exponent, coefficient) over the stored window."""
-        return self._terms()
+        for i, c in enumerate(self.coeffs):
+            yield self.min_order + i, c
 
     # -- output -------------------------------------------------------------
 
     def evaluate_float(self, x: float) -> float:
         """Numeric value of the window at eps = x; rational ring only."""
-        return sum(self.ring.to_float(c) * x ** k for k, c in self._terms())
+        return sum(self.ring.to_float(c) * x ** k for k, c in self.terms())
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedLaurentSeries):
@@ -438,10 +415,10 @@ class TruncatedLaurentSeries:
 
     def __str__(self):
         parts = []
-        for k, c in self._terms():
+        for k, c in self.terms():
             if self.ring.is_zero(c):
                 continue
-            text = self.ring.format_coefficient(c)
+            text = str(c)
             if k == 0:
                 parts.append(text)
             else:

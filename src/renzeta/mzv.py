@@ -37,17 +37,15 @@ from renzeta.birkhoff import (
     DecompositionSession,
     PrecisionBudget,
 )
-from renzeta.hopf import Letter, Word
+from renzeta.hopf import Letter, Word, _check_direction
 from renzeta.laurent import (
     DELTA_FIELD,
-    InsufficientPrecision,
     RATIONAL_FIELD,
     TruncatedLaurentSeries,
 )
 
 __all__ = [
     "argument_word",
-    "pole_depth",
     "ExpansionPlan",
     "expansion_plans",
     "one_var_series",
@@ -65,18 +63,10 @@ __all__ = [
 ]
 
 
-def _coerce_direction(r):
-    if isinstance(r, int):
-        return Fraction(r)
-    if isinstance(r, (Fraction, DeltaRationalFunction)):
-        return r
-    raise TypeError(f"unsupported direction {r!r}")
-
-
 def argument_word(exponents, directions) -> Word:
     """Validated (s, r) word for one nested-sum argument."""
     s = tuple(exponents)
-    r = tuple(_coerce_direction(x) for x in directions)
+    r = tuple(directions)
     if len(s) == 0:
         raise ValueError("argument needs at least one slot")
     if len(s) != len(r):
@@ -87,11 +77,6 @@ def argument_word(exponents, directions) -> Word:
             raise ValueError(
                 f"exponent {x} is not a non-positive integer")
     return Word(Letter(x, rx) for x, rx in zip(s, r))
-
-
-def pole_depth(exponents) -> int:
-    """sum of (|s_i| + 1): the pole order of the regularized window."""
-    return sum(1 - s for s in exponents)
 
 
 def _ring_for(directions):
@@ -107,13 +92,12 @@ def _ring_for(directions):
 class ExpansionPlan:
     """One term of the factorized sum.
 
-    assignments[i] spreads m_i over slots i..k-1; slot_exponents[l] collects
-    the powers landing on j_l; multiplicity is the product of multinomial
-    coefficients.  The slot exponents always resum to sum_i m_i.
+    slot_exponents[l] collects the powers landing on j_l; multiplicity is
+    the product of multinomial coefficients.  The slot exponents always
+    resum to sum_i m_i.
     """
 
     cumulative_directions: tuple
-    assignments: tuple
     slot_exponents: tuple
     multiplicity: int
 
@@ -157,7 +141,6 @@ def expansion_plans(exponents, directions):
                 mult *= _multinomial(ms[j], comp)
             yield ExpansionPlan(
                 cumulative_directions=rho,
-                assignments=tuple(chosen),
                 slot_exponents=tuple(slots),
                 multiplicity=mult,
             )
@@ -180,7 +163,7 @@ def one_var_series(power: int, direction, precision: int,
         raise ValueError("slot power must be >= 0")
     if precision < 1:
         raise ValueError("window must reach past eps^0")
-    direction = _coerce_direction(direction)
+    direction = _check_direction(direction)
     if ring is None:
         ring = _ring_for((direction,))
     return _one_var_window(power, direction, precision, ring)
@@ -237,14 +220,10 @@ def expansion_character(ring, taylor_order: int,
     )
 
     def word_fn(word: Word) -> TruncatedLaurentSeries:
-        if not word.is_nonpositive():
-            raise ValueError(f"{word} leaves the non-positive sector")
-        if word.pole_depth() > budget.max_pole_depth:
-            raise InsufficientPrecision(
-                f"word {word} exceeds the depth budget "
-                f"{budget.max_pole_depth}")
+        # the character owns the ring: a rational sub-word of a Q(delta)
+        # argument must still land in Q(delta)
         return regularized_expansion(
-            tuple(l.s for l in word), tuple(l.r for l in word),
+            tuple(l.s for l in word), tuple(ring.coerce(l.r) for l in word),
             budget.requested_precision)
 
     return Character(ring, word_fn, budget)
@@ -296,7 +275,7 @@ def symmetrized_zero(depth: int, directions) -> Fraction:
     """Average of the all-zero-exponent value over direction orderings."""
     from itertools import permutations
 
-    r = tuple(_coerce_direction(x) for x in directions)
+    r = tuple(_check_direction(x) for x in directions)
     if len(r) != depth:
         raise ValueError(f"need exactly {depth} directions")
     zeros = (0,) * depth
@@ -313,7 +292,7 @@ def symmetrized_zero(depth: int, directions) -> Fraction:
 def generating_check(depth: int, directions, order: int) -> CheckReport:
     """Taylor coefficients of the renormalized all-zero window against the
     weighted sums of non-positive renormalized values they should equal."""
-    r = tuple(_coerce_direction(x) for x in directions)
+    r = tuple(_check_direction(x) for x in directions)
     if len(r) != depth:
         raise ValueError(f"need exactly {depth} directions")
     zeros = (0,) * depth
@@ -344,8 +323,8 @@ def two_var_an_check(n: int, r1, r2) -> CheckReport:
     """Depth-two Taylor coefficient identity: n! times the eps^n coefficient
     of the finite part of the double window against binomially weighted
     renormalized values plus the zeta correction term."""
-    r1 = _coerce_direction(r1)
-    r2 = _coerce_direction(r2)
+    r1 = _check_direction(r1)
+    r2 = _check_direction(r2)
     reg = regularized_expansion((0, 0), (r1, r2), n + 1)
     an = reg.finite_part().coefficient(n) * math.factorial(n)
     total = Fraction(0)

@@ -91,8 +91,10 @@ def _aggregate(check: str, label: str, cases) -> CheckReport:
                 word=case_label, check=check, passed=False,
                 lhs=str(lhs), rhs=str(rhs))
     agreed = f"{count} cases agree"
+    # a battery that checked nothing proves nothing
     return CheckReport(
-        word=label, check=check, passed=True, lhs=agreed, rhs=agreed)
+        word=label, check=check, passed=count > 0, lhs=agreed,
+        rhs=agreed if count else "at least one case")
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +395,10 @@ def suite_differential(max_weight: int = 4, seed: int = 0) -> list:
         compat_cases("minus")))
 
     def zdiff_cases():
+        character = session.character
         for w in words:
-            phi = session.character.on_word
-            lhs = phi(w).derivative()
-            rhs = None
-            for word, coeff in differentiate(w).terms.items():
-                term = phi(word).scale(coeff)
-                rhs = term if rhs is None else rhs + term
+            lhs = character.on_word(w).derivative()
+            rhs = character.on_element(differentiate(w))
             yield str(w), windows_agree(lhs, rhs), lhs, rhs
 
     reports.append(_aggregate(

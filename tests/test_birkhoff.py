@@ -47,14 +47,10 @@ class TestPrecisionBudget:
             PrecisionBudget(requested_precision=3, max_pole_depth=-1)
         with pytest.raises(ValueError):
             PrecisionBudget(requested_precision=3, max_pole_depth=3)
+        with pytest.raises(ValueError):
+            PrecisionBudget(requested_precision=3, max_pole_depth=5)
         b = PrecisionBudget(requested_precision=3, max_pole_depth=2)
-        assert b.required_constant_term_exactness
-
-    def test_relaxed_budget_allows_equal(self):
-        b = PrecisionBudget(
-            requested_precision=3, max_pole_depth=5,
-            required_constant_term_exactness=False)
-        assert b.max_pole_depth == 5
+        assert b.max_pole_depth == 2
 
 
 class TestCharacter:

@@ -76,6 +76,21 @@ def test_directional_delta_directions(capsys):
     assert rc == 0 and out == "3/8\n"
 
 
+def test_mixed_rational_and_delta_directions(capsys):
+    for argv in (["directional", "--s", "0,0", "--r", "1+d,2"],
+                 ["series", "--s", "0,-1", "--r", "1/2,d"]):
+        rc, out, err = run(capsys, argv)
+        assert rc == 0 and err == "", argv
+        assert out, argv
+
+
+def test_negative_exponent_list_is_a_value(capsys):
+    rc, out, err = run(capsys, ["eval", "--s", "-2,-1"])
+    assert rc == 0 and err == ""
+    _, out_eq, _ = run(capsys, ["eval", "--s=-2,-1"])
+    assert out == out_eq == "-1/240\n"
+
+
 # ---------------------------------------------------------------------------
 # series
 
@@ -170,6 +185,13 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert out == "FAIL c: w: 0 != 1\n"
 
 
+def test_verify_fails_when_no_case_was_checked(capsys):
+    rc, out, _ = run(
+        capsys, ["verify", "--suite", "hopf", "--max-weight", "-3"])
+    assert rc == cli.EXIT_VERIFY
+    assert "FAIL product-oracle: all |u|+|v| <= -3" in out
+
+
 # ---------------------------------------------------------------------------
 # table
 
@@ -247,6 +269,10 @@ def test_usage_errors(capsys):
         ["series", "--s", "0", "--r", "1,2"],
         ["directional", "--s", "0", "--r", "-1"],
         ["directional", "--s", "0", "--r", "bogus("],
+        ["directional", "--s", "0", "--r", "1/0"],
+        ["directional", "--s", "0", "--r", "1-d"],
+        ["series", "--s", "0", "--r", "0"],
+        ["series", "--s", "0,1", "--r", "1,1"],
         ["verify", "--suite", "nope"],
         ["bogus"],
     )
@@ -254,6 +280,7 @@ def test_usage_errors(capsys):
         rc, _, err = run(capsys, argv)
         assert rc == cli.EXIT_USAGE, argv
         assert err.startswith("error: "), argv
+        assert "Traceback" not in err and err.count("\n") == 1, argv
 
 
 def test_pole_exit_code(capsys, monkeypatch):

@@ -16,7 +16,6 @@ from renzeta.mzv import (
     numeric_oracle,
     one_var_series,
     oracle_tail_bound,
-    pole_depth,
     regularized_expansion,
     renorm_directional,
     renorm_mzv,
@@ -51,8 +50,7 @@ class TestArgumentValidation:
             argument_word((0,), (1 / DELTA,))
 
     def test_pole_depth(self):
-        assert pole_depth((0, 0)) == 2
-        assert pole_depth((-2, -1)) == 5
+        assert argument_word((0, 0), (1, 1)).pole_depth() == 2
         assert argument_word((-2, -1), (1, 1)).pole_depth() == 5
 
 
@@ -210,6 +208,16 @@ class TestRenormalizedValues:
         assert v == DELTA.from_rational(F(3, 8))
         v3 = renorm_directional((0, 0, 0), (DELTA, DELTA, DELTA))
         assert v3.limit_at_zero() == renorm_mzv((0, 0, 0))
+
+    def test_mixed_rational_and_delta_directions(self):
+        # the rational suffix (0,2) is decomposed over Q(delta) too; the
+        # rational-delta probes at delta = 0 and delta = 1 are the
+        # independent route
+        v = renorm_directional((0, 0), (1 + DELTA, 2))
+        assert v.limit_at_zero() == F(13, 36)
+        assert v.limit_at_zero() == renorm_directional((0, 0), (1, 2))
+        assert v.evaluate(1) == F(3, 8)
+        assert v.evaluate(1) == renorm_directional((0, 0), (2, 2))
 
     def test_value_level_quasi_shuffle(self):
         # zeta(0)^2 = 2 zbar(0,0) + zeta(0) via the merged letter
