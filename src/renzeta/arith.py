@@ -402,13 +402,6 @@ class DeltaRationalFunction:
             "den": [str(c) for c in self.den],
         }
 
-    @classmethod
-    def from_json(cls, obj) -> "DeltaRationalFunction":
-        return cls(
-            tuple(Fraction(c) for c in obj["num"]),
-            tuple(Fraction(c) for c in obj["den"]),
-        )
-
     def sort_key(self):
         return (self.num, self.den)
 

@@ -1,8 +1,8 @@
 """Command-line front end: evaluation, series windows, verification suites,
 and table export, with deterministic exact output.
 
-Exit codes: 0 success, 1 usage, 2 pole in the direction limit, 3 precision
-failure, 4 verification failure.
+Exit codes: 0 success, 1 usage or closed output pipe, 2 pole in the
+direction limit, 3 precision failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -256,7 +256,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left; point stdout at devnull so the flush at
+        # interpreter exit stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: output pipe closed", file=sys.stderr)
+        return EXIT_USAGE
     except (UsageError, ValueError, PoleAtZero, PrecisionError) as exc:
         # malformed values surface as ValueError from the layer that
         # owns the check

@@ -289,25 +289,6 @@ class HopfElement:
     def __repr__(self):
         return f"HopfElement({str(self)!r})"
 
-    def to_json(self) -> list:
-        return [
-            {"coeff": str(c),
-             "word": [[l.s, _format_direction(l.r)] for l in w]}
-            for w, c in self.sorted_terms()
-        ]
-
-    @classmethod
-    def from_json(cls, obj) -> "HopfElement":
-        terms = {}
-        for entry in obj:
-            word = Word(Letter(s, _parse_direction(str(r)))
-                        for s, r in entry["word"])
-            coeff = entry["coeff"]
-            coeff = Fraction(coeff) if "d" not in str(coeff) else \
-                DeltaRationalFunction.parse(str(coeff))
-            terms[word] = terms.get(word, 0) + coeff
-        return cls(terms)
-
 
 # ---------------------------------------------------------------------------
 # Product: recursive quasi-shuffle with memoized word-level expansion, plus

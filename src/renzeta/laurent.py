@@ -92,9 +92,6 @@ class RationalField:
     def coefficient_to_json(self, c):
         return str(c)
 
-    def coefficient_from_json(self, obj):
-        return Fraction(obj)
-
 
 class DeltaFunctionField:
     zero = DeltaRationalFunction(())
@@ -118,11 +115,6 @@ class DeltaFunctionField:
 
     def coefficient_to_json(self, c):
         return c.to_json()
-
-    def coefficient_from_json(self, obj):
-        if isinstance(obj, str):
-            return DeltaRationalFunction.parse(obj)
-        return DeltaRationalFunction.from_json(obj)
 
 
 class TPolynomial:
@@ -219,9 +211,6 @@ class TPolynomialRing:
 
     def coefficient_to_json(self, c):
         return [str(x) for x in c.coeffs]
-
-    def coefficient_from_json(self, obj):
-        return TPolynomial(tuple(Fraction(x) for x in obj))
 
 
 RATIONAL_FIELD = RationalField()
@@ -442,14 +431,6 @@ class TruncatedLaurentSeries:
             "coeffs": [self.ring.coefficient_to_json(c)
                        for c in self.coeffs],
         }
-
-    @classmethod
-    def from_json(cls, ring, obj) -> "TruncatedLaurentSeries":
-        coeffs = [ring.coefficient_from_json(c) for c in obj["coeffs"]]
-        s = cls(ring, obj["minOrder"], coeffs)
-        if s.precision != obj["precision"]:
-            raise ValueError("inconsistent precision in series JSON")
-        return s
 
 
 # ---------------------------------------------------------------------------

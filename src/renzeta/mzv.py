@@ -4,9 +4,10 @@ exact Laurent windows, and the renormalized values extracted from them.
 The object is the sum over n_1 > ... > n_k > 0 of prod_i n_i^(m_i)
 exp(n_i r_i eps), with m_i = -s_i >= 0 and positive directions r_i.  The
 substitution n_i = j_i + ... + j_k (all j >= 1) factorizes the exponential
-through cumulative directions rho_l = r_1 + ... + r_l, and expanding each
-power n_i^(m_i) multinomially over its j-slots turns the whole sum into a
-finite combination of products of one-variable series
+through cumulative directions rho_l = r_1 + ... + r_l, and multiplying
+out prod_i (j_i + ... + j_k)^(m_i) turns the whole sum into a finite
+combination of products of one-variable series, one product per
+slot-exponent vector, weighted by that monomial's coefficient
 
     sum_{j >= 1} j^b exp(j rho eps)
         = (-1)^(b+1) b! (rho eps)^(-b-1) + sum_{j >= 0} zeta(-b-j)
@@ -29,6 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from renzeta.arith import DELTA, DeltaRationalFunction, zeta_nonpositive
 from renzeta.birkhoff import (
@@ -90,11 +92,11 @@ def _ring_for(directions):
 
 @dataclass(frozen=True)
 class ExpansionPlan:
-    """One term of the factorized sum.
+    """One monomial of the factorized sum.
 
-    slot_exponents[l] collects the powers landing on j_l; multiplicity is
-    the product of multinomial coefficients.  The slot exponents always
-    resum to sum_i m_i.
+    slot_exponents[l] is the power of j_l in the monomial, and each
+    slot-exponent vector has exactly one plan; multiplicity is the
+    monomial's coefficient.  The slot exponents always resum to sum_i m_i.
     """
 
     cumulative_directions: tuple
@@ -111,44 +113,22 @@ def _compositions(total: int, slots: int):
             yield (first,) + rest
 
 
-def _multinomial(total: int, parts) -> int:
-    out = math.factorial(total)
-    for p in parts:
-        out //= math.factorial(p)
-    return out
-
-
 def expansion_plans(exponents, directions):
-    """Yield every multinomial assignment for the given argument."""
+    """Yield one plan per monomial of prod_i (j_i + ... + j_k)^(m_i)."""
     word = argument_word(exponents, directions)
     k = len(word)
-    ms = [-l.s for l in word]
-    rho = []
-    acc = None
-    for l in word:
-        acc = l.r if acc is None else acc + l.r
-        rho.append(acc)
-    rho = tuple(rho)
-
-    def rec(i, chosen):
-        if i == k:
-            slots = [0] * k
-            for j, comp in enumerate(chosen):
-                for off, a in enumerate(comp):
-                    slots[j + off] += a
-            mult = 1
-            for j, comp in enumerate(chosen):
-                mult *= _multinomial(ms[j], comp)
-            yield ExpansionPlan(
-                cumulative_directions=rho,
-                slot_exponents=tuple(slots),
-                multiplicity=mult,
-            )
-            return
-        for comp in _compositions(ms[i], k - i):
-            yield from rec(i + 1, chosen + [comp])
-
-    yield from rec(0, [])
+    rho = tuple(accumulate(l.r for l in word))
+    poly = {(0,) * k: 1}
+    for i, letter in enumerate(word):
+        for _ in range(-letter.s):
+            grown = {}
+            for slots, c in poly.items():
+                for l in range(i, k):
+                    bumped = slots[:l] + (slots[l] + 1,) + slots[l + 1:]
+                    grown[bumped] = grown.get(bumped, 0) + c
+            poly = grown
+    for slots, c in poly.items():
+        yield ExpansionPlan(rho, slots, c)
 
 
 def one_var_series(power: int, direction, precision: int,
@@ -172,12 +152,13 @@ def one_var_series(power: int, direction, precision: int,
 @lru_cache(maxsize=None)
 def _one_var_window(b, direction, precision, ring):
     rho = ring.coerce(direction)
-    terms = {
-        -(b + 1): (-1) ** (b + 1) * math.factorial(b) * rho ** (-(b + 1))}
+    vals = [(-1) ** (b + 1) * math.factorial(b) * rho ** (-(b + 1))]
+    vals += [ring.zero] * b
+    power = ring.one
     for j in range(precision):
-        terms[j] = zeta_nonpositive(b + j) * rho ** j \
-            * Fraction(1, math.factorial(j))
-    vals = [terms.get(e, ring.zero) for e in range(-(b + 1), precision)]
+        vals.append(zeta_nonpositive(b + j) * power
+                    * Fraction(1, math.factorial(j)))
+        power = power * rho
     return TruncatedLaurentSeries(ring, -(b + 1), vals)
 
 

@@ -380,19 +380,11 @@ def suite_differential(max_weight: int = 4, seed: int = 0) -> list:
     session = decomposition_session(taylor_order=1, max_pole_depth=depth)
     reports = []
 
-    def compat_cases(which):
-        for w in words:
-            plus_rep, minus_rep = verify_differential_compatibility(
-                session, w)
-            rep = plus_rep if which == "plus" else minus_rep
-            yield str(w), rep.passed, rep.lhs, rep.rhs
-
-    reports.append(_aggregate(
-        "differential-plus", f"all words |x| <= {bound}",
-        compat_cases("plus")))
-    reports.append(_aggregate(
-        "differential-minus", f"all words |x| <= {bound}",
-        compat_cases("minus")))
+    pairs = [verify_differential_compatibility(session, w) for w in words]
+    for i, check in enumerate(("differential-plus", "differential-minus")):
+        reports.append(_aggregate(
+            check, f"all words |x| <= {bound}",
+            ((p[i].word, p[i].passed, p[i].lhs, p[i].rhs) for p in pairs)))
 
     def zdiff_cases():
         character = session.character

@@ -1,0 +1,39 @@
+"""The benchmark's tracer still finds the call sites it wraps.
+
+bench/pass_child.py runs in a subprocess, so the tracer's rebinding of
+module globals never reaches this process.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CHILD = ROOT / "bench" / "pass_child.py"
+
+REQUEST = {
+    "items": [["directional", "--s=-1,-1,-1", "--r=1,2,3"],
+              ["eval", "--s=-1,0"]],
+    "trace": True,
+}
+
+
+def test_traced_pass_reaches_every_layer():
+    env = dict(os.environ, PYTHONPATH="src", PYTHONHASHSEED="0")
+    env.pop("RENZETA_PRECISION", None)
+    proc = subprocess.run(
+        [sys.executable, str(CHILD)], cwd=ROOT, env=env,
+        input=json.dumps(REQUEST) + "\n", capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    ready, reply = (json.loads(line) for line in proc.stdout.splitlines())
+    assert ready["ready"]
+    assert [item[1] for item in reply["items"]] == [0, 0], reply["items"]
+    counters = reply["trace"]["counters"]
+    for key in ("mzv.plans", "mzv.one_var_calls", "laurent.mul_q_calls",
+                "laurent.mul_qdelta_calls", "birkhoff.sessions"):
+        assert counters[key] > 0, key
+    # one plan per slot-exponent vector
+    assert counters["mzv.plans"] == counters["mzv.plan_slot_vectors"]

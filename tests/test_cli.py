@@ -1,7 +1,11 @@
 """Command-line behavior: contract outputs, exit codes, schemas."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -281,6 +285,21 @@ def test_usage_errors(capsys):
         assert rc == cli.EXIT_USAGE, argv
         assert err.startswith("error: "), argv
         assert "Traceback" not in err and err.count("\n") == 1, argv
+
+
+def test_closed_output_pipe():
+    argv = ["table", "--max-depth", "2", "--min-s", "-2", "--format", "text"]
+    # the child imports the same package this process tested
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "renzeta.cli", *argv], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == cli.EXIT_USAGE
+    assert err.startswith("error: ")
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_pole_exit_code(capsys, monkeypatch):

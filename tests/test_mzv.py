@@ -127,6 +127,38 @@ class TestExpansionPlans:
         # m1 = 1 spreads over two slots, m2 = 1 sits on the last
         assert len(list(expansion_plans((-1, -1), (1, 1)))) == 2
 
+    def test_one_plan_per_slot_vector(self):
+        # counts of the distinct monomials of prod_i (j_i + ... + j_k)^m_i
+        for s, count in [((-2, -2, -2), 12), ((-3, -3, -3), 22),
+                         ((-2,) * 4, 55), ((-1,) * 5, 42)]:
+            plans = list(expansion_plans(s, (1,) * len(s)))
+            assert len(plans) == count, s
+            assert len({p.slot_exponents for p in plans}) == count, s
+
+    def test_multiplicities_count_all_assignments(self):
+        # each power of j_i + ... + j_k picks one of its k - i slots
+        for s in [(-2, -2, -2), (-3, -3, -3), (-2,) * 4, (-1,) * 5,
+                  (-1, -2), (-2, 0, -1), (0, -3)]:
+            k = len(s)
+            plans = expansion_plans(s, (1,) * k)
+            assert sum(p.multiplicity for p in plans) == math.prod(
+                (k - i) ** -x for i, x in enumerate(s)), s
+
+    def test_power_ladder_rational_delta_probe(self):
+        # the window over Q(delta), evaluated at delta = x, is the window
+        # at the rational direction 1 + x, whose Taylor coefficients are
+        # zeta(-b-j) (1 + x)^j / j!
+        for b in range(4):
+            for x in (F(1, 2), F(2)):
+                symbolic = one_var_series(b, 1 + DELTA, 5)
+                concrete = one_var_series(b, 1 + x, 5)
+                for e in range(-(b + 1), 5):
+                    assert symbolic.coefficient(e).evaluate(x) \
+                        == concrete.coefficient(e), (b, x, e)
+                for j in range(5):
+                    assert concrete.coefficient(j) == zeta_nonpositive(
+                        b + j) * (1 + x) ** j / math.factorial(j), (b, x, j)
+
 
 class TestRegularizedExpansion:
     def test_double_zero_window(self):
