@@ -201,7 +201,11 @@ def poly_parse(text: str, var: str) -> tuple:
             exp = 0
             coeff = Fraction(term)
         coeffs[exp] = coeffs.get(exp, _ZERO) + coeff
-    out = [_ZERO] * (max(coeffs) + 1)
+    try:
+        out = [_ZERO] * (max(coeffs) + 1)
+    except (OverflowError, MemoryError):
+        # the dense form cannot hold the degree the text asks for
+        raise ValueError(f"degree too large in {text!r}") from None
     for k, c in coeffs.items():
         out[k] = c
     return poly_trim(out)

@@ -18,11 +18,11 @@ from renzeta.arith import DeltaRationalFunction, PoleAtZero
 from renzeta.hopf import _parse_direction
 from renzeta.laurent import PrecisionError
 from renzeta.mzv import (
+    _ring_for,
     argument_word,
-    regularized_expansion,
+    decomposition_session,
     renorm_directional,
     renorm_mzv,
-    renormalized_series,
 )
 from renzeta.suites import run_suite
 
@@ -132,15 +132,14 @@ def cmd_series(args) -> int:
     s = _parse_exponents(args.s)
     r = _parse_directions(args.r, len(s))
     precision = _resolve_precision(args)
-    depth = argument_word(s, r).pole_depth()
+    word = argument_word(s, r)
+    depth = word.pole_depth()
+    session = decomposition_session(precision - 1, depth, _ring_for(r))
     # precision counts printed coefficients: the regularized window starts
     # at -depth, the pole-free window at 0
-    target = precision - depth
-    regularized = regularized_expansion(s, r, max(1, target))
-    if target < 1:
-        regularized = regularized.truncated(target)
-    renormalized = renormalized_series(
-        s, r, precision - 1).truncated(precision)
+    regularized = session.character.on_word(word).truncated(
+        precision - depth)
+    renormalized = session.renormalized(word).truncated(precision)
     if args.format == "json":
         _print_json({
             "s": list(s),

@@ -226,21 +226,10 @@ def renormalized_series(exponents, directions,
     return session.renormalized(word)
 
 
-def _freeze(exponents, directions):
-    word = argument_word(exponents, directions)
-    return tuple(l.s for l in word), tuple(l.r for l in word)
-
-
-@lru_cache(maxsize=None)
-def _renorm_directional(s: tuple, r: tuple):
-    return renormalized_series(s, r, 0).constant_term()
-
-
 def renorm_directional(exponents, directions):
     """Renormalized value at an explicit direction vector: the constant
     term of the pole-free part.  Exact scalar in Q or Q(delta)."""
-    s, r = _freeze(exponents, directions)
-    return _renorm_directional(s, r)
+    return renormalized_series(exponents, directions, 0).constant_term()
 
 
 def renorm_mzv(exponents) -> Fraction:

@@ -54,14 +54,11 @@ from renzeta.arith import DELTA, zeta_nonpositive
 F = Fraction
 
 ALPHABET = ((0, F(1)), (-1, F(2)), (-2, F(1)))
-
-
-def _letters():
-    return [Letter(s, r) for s, r in ALPHABET]
+_LETTERS = tuple(Letter(s, r) for s, r in ALPHABET)
 
 
 def _words_of_length(n):
-    return [Word(p) for p in iproduct(_letters(), repeat=n)]
+    return [Word(p) for p in iproduct(_LETTERS, repeat=n)]
 
 
 def _words_up_to(n, include_empty=False):
@@ -79,6 +76,14 @@ def _pairs_up_to(total):
                 for v in _words_of_length(lv):
                     out.append((u, v))
     return out
+
+
+def _products_up_to(total):
+    """The quasi-shuffle product of every pair of _pairs_up_to(total),
+    keyed by the pair, in that order."""
+    return {(u, v): quasi_shuffle(HopfElement.from_word(u),
+                                  HopfElement.from_word(v))
+            for u, v in _pairs_up_to(total)}
 
 
 def _aggregate(check: str, label: str, cases) -> CheckReport:
@@ -103,11 +108,13 @@ def _aggregate(check: str, label: str, cases) -> CheckReport:
 def suite_hopf(max_weight: int = 4, seed: int = 0) -> list:
     rng = random.Random(seed)
     reports = []
+    products = _products_up_to(max_weight)
+    # the filtration and derivation batteries stop at |u|+|v| <= 4
+    small_products = {(u, v): prod for (u, v), prod in products.items()
+                      if len(u) + len(v) <= 4}
 
     def oracle_cases():
-        for u, v in _pairs_up_to(max_weight):
-            got = quasi_shuffle(
-                HopfElement.from_word(u), HopfElement.from_word(v))
+        for (u, v), got in products.items():
             want = mixable_shuffle_direct(u, v)
             yield f"{u} * {v}", got == want, got, want
 
@@ -118,8 +125,8 @@ def suite_hopf(max_weight: int = 4, seed: int = 0) -> list:
         for _ in range(count):
             lu = rng.randint(1, max(1, bound - 1))
             lv = rng.randint(1, max(1, bound - lu))
-            u = Word(rng.choice(_letters()) for _ in range(lu))
-            v = Word(rng.choice(_letters()) for _ in range(lv))
+            u = Word(rng.choice(_LETTERS) for _ in range(lu))
+            v = Word(rng.choice(_LETTERS) for _ in range(lv))
             yield u, v
 
     def commutativity_cases():
@@ -135,7 +142,7 @@ def suite_hopf(max_weight: int = 4, seed: int = 0) -> list:
 
     def associativity_cases():
         for _ in range(50):
-            ws = [Word(rng.choice(_letters())
+            ws = [Word(rng.choice(_LETTERS)
                        for _ in range(rng.randint(1, 2)))
                   for _ in range(3)]
             x, y, z = (HopfElement.from_word(w) for w in ws)
@@ -175,9 +182,7 @@ def suite_hopf(max_weight: int = 4, seed: int = 0) -> list:
         "counit-axiom", "all words", counit_cases()))
 
     def filtration_cases():
-        for u, v in _pairs_up_to(min(max_weight, 4)):
-            prod = quasi_shuffle(
-                HopfElement.from_word(u), HopfElement.from_word(v))
+        for (u, v), prod in small_products.items():
             lengths = [len(w) for w in prod.terms]
             ok = max(lengths) <= len(u) + len(v) \
                 and min(lengths) >= max(len(u), len(v)) \
@@ -189,10 +194,10 @@ def suite_hopf(max_weight: int = 4, seed: int = 0) -> list:
         "filtration-and-sector", "all pairs", filtration_cases()))
 
     def leibniz_cases():
-        for u, v in _pairs_up_to(min(max_weight, 4)):
+        for (u, v), prod in small_products.items():
             x = HopfElement.from_word(u)
             y = HopfElement.from_word(v)
-            got = differentiate(x * y)
+            got = differentiate(prod)
             want = differentiate(x) * y + x * differentiate(y)
             yield f"{u} * {v}", got == want, got, want
 
@@ -304,7 +309,7 @@ def suite_rota_baxter(max_weight: int = 4, seed: int = 0) -> list:
 # Decomposition.
 
 def _session_for_words(words, taylor_order=1):
-    depth = max(w.pole_depth() for w in words)
+    depth = max((w.pole_depth() for w in words), default=0)
     return decomposition_session(
         taylor_order=taylor_order, max_pole_depth=depth)
 
@@ -313,15 +318,12 @@ def suite_birkhoff(max_weight: int = 4, seed: int = 0) -> list:
     del seed  # exhaustive battery, nothing sampled
     bound = min(max_weight, 4)
     words = _words_up_to(bound)
-    pairs = _pairs_up_to(bound)
+    products = _products_up_to(bound)
     product_words = set(words)
-    for u, v in pairs:
-        prod = quasi_shuffle(
-            HopfElement.from_word(u), HopfElement.from_word(v))
+    for prod in products.values():
         product_words.update(prod.terms)
     product_words.discard(EMPTY_WORD)
-    session = _session_for_words(sorted(
-        product_words, key=lambda w: w.sort_key()))
+    session = _session_for_words(product_words)
     reports = []
 
     def decomposition_cases():
@@ -347,9 +349,7 @@ def suite_birkhoff(max_weight: int = 4, seed: int = 0) -> list:
         "range-discipline", f"all words |x| <= {bound}", range_cases()))
 
     def multiplicativity_cases():
-        for u, v in pairs:
-            prod = quasi_shuffle(
-                HopfElement.from_word(u), HopfElement.from_word(v))
+        for (u, v), prod in products.items():
             lhs = session.renormalized_of(prod)
             rhs = session.renormalized(u) * session.renormalized(v)
             yield f"{u} * {v}", windows_agree(lhs, rhs), lhs, rhs
@@ -376,7 +376,7 @@ def suite_differential(max_weight: int = 4, seed: int = 0) -> list:
     del seed
     bound = min(max_weight, 3)
     words = _words_up_to(bound)
-    depth = max(w.pole_depth() for w in words) + 1
+    depth = max((w.pole_depth() for w in words), default=0) + 1
     session = decomposition_session(taylor_order=1, max_pole_depth=depth)
     reports = []
 
@@ -442,27 +442,18 @@ def suite_mzv(max_weight: int = 4, seed: int = 0) -> list:
         rhs = 2 * renorm_directional((0, 0), (1, 1)) \
             + renorm_directional((0,), (2,))
         yield "zeta(0)^2 against (0,0) and merged", lhs == rhs, lhs, rhs
-        pairs = _pairs_up_to(min(max_weight, 4))
-        if not pairs:
-            return
-        products = {}
-        involved = set()
-        for u, v in pairs:
-            prod = quasi_shuffle(
-                HopfElement.from_word(u), HopfElement.from_word(v))
-            products[u, v] = prod
-            involved.update((u, v))
-            involved.update(prod.terms)
-        session = _session_for_words(sorted(
-            involved, key=lambda w: w.sort_key()))
+        products = _products_up_to(min(max_weight, 4))
+        # the concatenation uv is a term of u * v and the deepest word in it
+        session = _session_for_words(
+            w for prod in products.values() for w in prod.terms)
 
         def value(word):
             return session.renormalized(word).constant_term()
 
-        for u, v in pairs:
+        for (u, v), prod in products.items():
             left = value(u) * value(v)
             right = F(0)
-            for word, coeff in products[u, v].terms.items():
+            for word, coeff in prod.terms.items():
                 right += coeff * value(word)
             yield f"{u} * {v}", left == right, left, right
 
@@ -524,9 +515,8 @@ def run_suite(name: str, max_weight: int = 4, seed: int = 0) -> list:
     """Reports for one named suite, or for every suite with name "all"."""
     if name == "all":
         out = []
-        for key in ("hopf", "rota-baxter", "birkhoff",
-                    "differential", "mzv"):
-            out.extend(SUITES[key](max_weight=max_weight, seed=seed))
+        for fn in SUITES.values():
+            out.extend(fn(max_weight=max_weight, seed=seed))
         return out
     try:
         fn = SUITES[name]

@@ -13,7 +13,9 @@ import pytest
 from renzeta.arith import PoleAtZero
 from renzeta.birkhoff import CheckReport
 from renzeta.laurent import InsufficientPrecision
-from renzeta import cli
+from renzeta import cli, mzv
+
+EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
 
 
 def run(capsys, argv):
@@ -131,6 +133,21 @@ def test_series_precision_from_environment(capsys, monkeypatch):
     assert rc == cli.EXIT_USAGE and "not an integer" in err
 
 
+def test_series_expands_the_full_word_once(capsys, monkeypatch):
+    # both windows come from one decomposition session
+    seen = []
+    plans = mzv.expansion_plans
+
+    def spy(exponents, directions):
+        seen.append(tuple(exponents))
+        return plans(exponents, directions)
+
+    monkeypatch.setattr(mzv, "expansion_plans", spy)
+    rc, _, _ = run(capsys, ["series", "--s", "0,-1", "--r", "1,2"])
+    assert rc == 0
+    assert seen.count((0, -1)) == 1
+
+
 def test_series_json_schema(capsys):
     schema = load_schema("series.schema.json")
     rc, out, _ = run(
@@ -194,6 +211,12 @@ def test_verify_fails_when_no_case_was_checked(capsys):
         capsys, ["verify", "--suite", "hopf", "--max-weight", "-3"])
     assert rc == cli.EXIT_VERIFY
     assert "FAIL product-oracle: all |u|+|v| <= -3" in out
+    for suite in ("birkhoff", "differential", "all"):
+        rc, out, err = run(
+            capsys, ["verify", "--suite", suite, "--max-weight", "0"])
+        assert rc == cli.EXIT_VERIFY and err == "", suite
+        assert any(line.startswith("FAIL ") for line in out.splitlines()), \
+            suite
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +298,7 @@ def test_usage_errors(capsys):
         ["directional", "--s", "0", "--r", "bogus("],
         ["directional", "--s", "0", "--r", "1/0"],
         ["directional", "--s", "0", "--r", "1-d"],
+        ["directional", "--s", "0", "--r", "d^99999999999999999999"],
         ["series", "--s", "0", "--r", "0"],
         ["series", "--s", "0,1", "--r", "1,1"],
         ["verify", "--suite", "nope"],
@@ -316,7 +340,31 @@ def test_precision_exit_code(capsys, monkeypatch):
     def starved(*args, **kwargs):
         raise InsufficientPrecision("window exhausted")
 
-    monkeypatch.setattr(cli, "regularized_expansion", starved)
+    monkeypatch.setattr(mzv, "regularized_expansion", starved)
     rc, _, err = run(capsys, ["series", "--s", "0", "--r", "1"])
     assert rc == cli.EXIT_PRECISION
     assert "window exhausted" in err
+
+
+# ---------------------------------------------------------------------------
+# recorded outputs
+
+def test_recorded_outputs_byte_for_byte(capsys, monkeypatch):
+    # every verify item of the benchmark record, and the first recorded
+    # direction draw of each series shape
+    monkeypatch.delenv(cli.PRECISION_ENV, raising=False)
+    outputs = json.loads(EXPECTED.read_text())["outputs"]
+    items = []
+    shapes = set()
+    for key in outputs:
+        argv = key.split()
+        if argv[0] == "verify":
+            items.append((key, argv + ["--seed", "0"]))
+        elif argv[0] == "series" and argv[1] not in shapes:
+            shapes.add(argv[1])
+            items.append((key, argv))
+    assert len(items) > len(shapes) > 0
+    for key, argv in items:
+        rc, out, err = run(capsys, argv)
+        assert rc == 0 and err == "", key
+        assert out == outputs[key], key
