@@ -78,7 +78,9 @@ def zeta_nonpositive(k: int) -> Fraction:
 # module for its T-polynomial coefficients).
 
 def poly_trim(coeffs) -> tuple:
-    cs = [Fraction(c) for c in coeffs]
+    # the ring operations already hand over Fractions; only constructor
+    # input such as ints needs converting
+    cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)

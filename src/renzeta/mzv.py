@@ -22,6 +22,16 @@ and the constant term of its pole-free part at a given direction vector is
 the directional renormalized value.  The direction-free value at s takes
 directions |s_i| + delta, lands in Q(delta), and evaluates at delta = 0;
 when the canonical form still has a pole there, PoleAtZero propagates.
+
+For a word with no zero exponent that limit is the value at the rational
+directions |s|.  Every ring operation on the way divides only by powers of
+cumulative direction sums r_i + ... + r_l (the one-variable poles and the
+decomposition of infixes), and with r_i = |s_i| + delta each such sum is
+at least 1 at delta = 0.  So every Q(delta) coefficient along the
+computation is regular at 0, evaluating at delta = 0 commutes with each
+step, and the whole computation can run over Q.  Only words containing a
+zero exponent, whose all-zero infixes have direction sums that vanish at
+delta = 0, need the field.
 """
 
 from __future__ import annotations
@@ -234,8 +244,14 @@ def renorm_directional(exponents, directions):
 
 def renorm_mzv(exponents) -> Fraction:
     """Direction-free renormalized value: directions |s_i| + delta, then
-    the delta -> 0 limit of the resulting rational function."""
+    the delta -> 0 limit of the resulting rational function.
+
+    Without a zero exponent no direction sum vanishes at delta = 0, so the
+    limit is the value at the rational directions |s| (module docstring).
+    """
     s = tuple(exponents)
+    if 0 not in s:
+        return renorm_directional(s, tuple(Fraction(-x) for x in s))
     directions = tuple(Fraction(-x) + DELTA for x in s)
     value = renorm_directional(s, directions)
     return value.limit_at_zero()

@@ -442,7 +442,12 @@ def suite_mzv(max_weight: int = 4, seed: int = 0) -> list:
         rhs = 2 * renorm_directional((0, 0), (1, 1)) \
             + renorm_directional((0,), (2,))
         yield "zeta(0)^2 against (0,0) and merged", lhs == rhs, lhs, rhs
-        products = _products_up_to(min(max_weight, 4))
+        bound = min(max_weight, 4)
+        products = _products_up_to(bound)
+        if not products:
+            # the fixed case above alone does not make "all pairs" true
+            yield f"no pair |u|+|v| <= {bound}", False, "0 pairs", \
+                "at least one pair"
         # the concatenation uv is a term of u * v and the deepest word in it
         session = _session_for_words(
             w for prod in products.values() for w in prod.terms)

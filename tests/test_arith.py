@@ -113,6 +113,10 @@ class TestDeltaRationalFunction:
         assert d ** -2 == 1 / (d * d)
         assert (d / d) == DRF.from_rational(1)
 
+    def test_int_input_normalised_to_fraction(self):
+        a = DRF((1, 2))
+        assert all(type(c) is F for c in a.num + a.den)
+
     def test_limit_at_zero_of_regular_value(self):
         # (3 d^2 + (3/8) d) / d -> 3/8
         a = DRF((0, F(3, 8), 3), (0, 1))

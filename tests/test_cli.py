@@ -217,6 +217,12 @@ def test_verify_fails_when_no_case_was_checked(capsys):
         assert rc == cli.EXIT_VERIFY and err == "", suite
         assert any(line.startswith("FAIL ") for line in out.splitlines()), \
             suite
+    # below weight 2 there is no pair to multiply
+    rc, out, err = run(
+        capsys, ["verify", "--suite", "mzv", "--max-weight", "1"])
+    assert rc == cli.EXIT_VERIFY and err == ""
+    assert any(line.startswith("FAIL value-multiplicativity")
+               for line in out.splitlines())
 
 
 # ---------------------------------------------------------------------------
@@ -350,19 +356,22 @@ def test_precision_exit_code(capsys, monkeypatch):
 # recorded outputs
 
 def test_recorded_outputs_byte_for_byte(capsys, monkeypatch):
-    # every verify item of the benchmark record, and the first recorded
-    # direction draw of each series shape
+    # every eval and verify item of the benchmark record, and the first
+    # recorded direction draw of each series shape
     monkeypatch.delenv(cli.PRECISION_ENV, raising=False)
     outputs = json.loads(EXPECTED.read_text())["outputs"]
     items = []
     shapes = set()
     for key in outputs:
         argv = key.split()
-        if argv[0] == "verify":
+        if argv[0] == "eval":
+            items.append((key, argv))
+        elif argv[0] == "verify":
             items.append((key, argv + ["--seed", "0"]))
         elif argv[0] == "series" and argv[1] not in shapes:
             shapes.add(argv[1])
             items.append((key, argv))
+    assert sum(argv[0] == "eval" for _, argv in items) == 38
     assert len(items) > len(shapes) > 0
     for key, argv in items:
         rc, out, err = run(capsys, argv)

@@ -181,6 +181,9 @@ class TestDerivation:
 
 
 class TestTRing:
+    def test_int_input_normalised_to_fraction(self):
+        assert all(type(c) is F for c in TPolynomial((0, 2)).coeffs)
+
     def test_t_coefficient_derivative(self):
         # (T^2) eps^0 differentiates to 2 T eps^-1
         s = series_from_terms(T_POLY_RING, {0: T * T}, 2)

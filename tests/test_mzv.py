@@ -2,9 +2,11 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from renzeta import arith
 from renzeta.arith import DELTA, PoleAtZero, zeta_nonpositive
 from renzeta.hopf import HopfElement, Word, quasi_shuffle
 from renzeta.laurent import DELTA_FIELD, RATIONAL_FIELD, windows_agree
@@ -240,6 +242,33 @@ class TestRenormalizedValues:
         assert v == DELTA.from_rational(F(3, 8))
         v3 = renorm_directional((0, 0, 0), (DELTA, DELTA, DELTA))
         assert v3.limit_at_zero() == renorm_mzv((0, 0, 0))
+
+    def test_zero_free_words_equal_the_delta_limit(self):
+        # zero-free words are computed at the rational directions |s|; the
+        # Q(delta) limit is the independent route, over every zero-free
+        # word of the auto-delta benchmark space
+        words = [(a,) for a in range(-4, 0)]
+        words += list(product(range(-4, 0), repeat=2))
+        words.append((-1, -1, -1))
+        assert len(words) == 21
+        for s in words:
+            directions = tuple(F(-x) + DELTA for x in s)
+            want = renorm_directional(s, directions).limit_at_zero()
+            assert renorm_mzv(s) == want, s
+
+    def test_only_words_with_zeros_use_field_gcds(self, monkeypatch):
+        calls = []
+        gcd = arith.poly_gcd
+
+        def counting_gcd(a, b):
+            calls.append((a, b))
+            return gcd(a, b)
+
+        monkeypatch.setattr(arith, "poly_gcd", counting_gcd)
+        renorm_mzv((-2, -3))
+        assert len(calls) == 0
+        renorm_mzv((0, -1))
+        assert len(calls) > 0
 
     def test_mixed_rational_and_delta_directions(self):
         # the rational suffix (0,2) is decomposed over Q(delta) too; the
