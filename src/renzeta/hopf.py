@@ -21,11 +21,19 @@ coproduct, which is exactly what the decomposition engine relies on.
 Directions live either in Q (strictly positive) or in Q(delta) restricted to
 delta-polynomials with nonnegative coefficients and not identically zero, so
 positivity for all small delta > 0 is decidable coefficientwise.
+
+``_shuffle_words`` memoizes the word product in a process-wide, unbounded
+``functools.cache`` (``cache_info()`` gives size and hits); its dicts of
+immutable words and multiplicities are shared, so callers must not mutate
+them.  Threads may call it at once, at worst computing a value twice.
+Letters cache their hash, since they key this memo and those downstream.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from itertools import product
 
 from renzeta.arith import DeltaRationalFunction
 
@@ -70,13 +78,14 @@ def _direction_key(r):
 class Letter:
     """One tensor slot: integer exponent s, positive direction r."""
 
-    __slots__ = ("s", "r")
+    __slots__ = ("s", "r", "_hash")
 
     def __init__(self, s: int, r):
         if not isinstance(s, int):
             raise TypeError("exponent must be an integer")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "r", _check_direction(r))
+        object.__setattr__(self, "_hash", hash((s, self.r)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Letter is immutable")
@@ -92,7 +101,7 @@ class Letter:
         return self.s == other.s and self.r == other.r
 
     def __hash__(self):
-        return hash((self.s, self.r))
+        return self._hash
 
     def sort_key(self):
         return (self.s, _direction_key(self.r))
@@ -203,22 +212,23 @@ def _format_direction(r) -> str:
     return str(r).replace(" ", "").replace("*", "")
 
 
+def _collect(pairs) -> dict:
+    """Sum (key, coefficient) pairs per key; drop the zero sums."""
+    out = {}
+    for key, c in pairs:
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c != 0}
+
+
 class HopfElement:
     """Finite linear combination of words; the product is quasi-shuffle."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for word, coeff in terms.items():
-                if isinstance(coeff, int):
-                    coeff = Fraction(coeff)
-                if coeff == 0:
-                    continue
-                data[word] = data.get(word, 0) + coeff
-        object.__setattr__(
-            self, "terms", {w: c for w, c in data.items() if c != 0})
+        object.__setattr__(self, "terms", {
+            w: Fraction(c) if isinstance(c, int) else c
+            for w, c in (terms or {}).items() if c != 0})
 
     def __setattr__(self, name, value):
         raise AttributeError("HopfElement is immutable")
@@ -247,10 +257,8 @@ class HopfElement:
     def __add__(self, other):
         if not isinstance(other, HopfElement):
             return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return HopfElement(out)
+        pairs = [*self.terms.items(), *other.terms.items()]
+        return HopfElement(_collect(pairs))
 
     def __sub__(self, other):
         if not isinstance(other, HopfElement):
@@ -261,8 +269,6 @@ class HopfElement:
         return HopfElement({w: -c for w, c in self.terms.items()})
 
     def scale(self, coeff) -> "HopfElement":
-        if isinstance(coeff, int):
-            coeff = Fraction(coeff)
         return HopfElement({w: coeff * c for w, c in self.terms.items()})
 
     def __mul__(self, other):
@@ -294,44 +300,29 @@ class HopfElement:
 # Product: recursive quasi-shuffle with memoized word-level expansion, plus
 # the direct interleave-and-merge enumeration used as its oracle.
 
-_shuffle_cache: dict[tuple, dict] = {}
-
-
-def _shuffle_letter_tuples(u: tuple, v: tuple) -> dict:
-    """Expansion of u * v as {letter-tuple: integer multiplicity}."""
+@cache
+def _shuffle_words(u: Word, v: Word) -> dict:
+    """Expansion of u * v as {word: integer multiplicity}."""
     if not u:
         return {v: 1}
     if not v:
         return {u: 1}
-    key = (u, v)
-    hit = _shuffle_cache.get(key)
-    if hit is not None:
-        return hit
-    out: dict[tuple, int] = {}
-
-    def emit(head, rest, mult):
-        for tail, m in rest.items():
-            w = (head,) + tail
-            out[w] = out.get(w, 0) + m * mult
-
-    emit(u[0], _shuffle_letter_tuples(u[1:], v), 1)
-    emit(v[0], _shuffle_letter_tuples(u, v[1:]), 1)
-    emit(u[0] * v[0], _shuffle_letter_tuples(u[1:], v[1:]), 1)
-    _shuffle_cache[key] = out
-    return out
+    u1, v1 = u.letters[0], v.letters[0]
+    return _collect(
+        (Word((head,) + w.letters), m)
+        for head, rest in ((u1, _shuffle_words(u[1:], v)),
+                           (v1, _shuffle_words(u, v[1:])),
+                           (u1 * v1, _shuffle_words(u[1:], v[1:])))
+        for w, m in rest.items())
 
 
 def quasi_shuffle(x: HopfElement, y: HopfElement) -> HopfElement:
     """Bilinear extension of the recursive interleave-or-merge product."""
-    out: dict[Word, object] = {}
-    for wu, cu in x.terms.items():
-        for wv, cv in y.terms.items():
-            c = cu * cv
-            for letters, mult in _shuffle_letter_tuples(
-                    wu.letters, wv.letters).items():
-                w = Word(letters)
-                out[w] = out.get(w, 0) + mult * c
-    return HopfElement(out)
+    pairs = []
+    for (wu, cu), (wv, cv) in product(x.terms.items(), y.terms.items()):
+        c = cu * cv
+        pairs.extend((w, m * c) for w, m in _shuffle_words(wu, wv).items())
+    return HopfElement(_collect(pairs))
 
 
 def mixable_shuffle_direct(u: Word, v: Word) -> HopfElement:
@@ -387,28 +378,23 @@ def counit(x: HopfElement):
 
 def element_coproduct(x: HopfElement) -> dict:
     """Linear extension of the coproduct: {(prefix, suffix): coefficient}."""
-    out: dict[tuple, object] = {}
-    for w, c in x.terms.items():
-        for pair in coproduct(w):
-            out[pair] = out.get(pair, 0) + c
-    return {pair: c for pair, c in out.items() if c != 0}
+    return _collect(
+        (pair, c) for w, c in x.terms.items() for pair in coproduct(w))
 
 
 def tensor_quasi_shuffle(t1: dict, t2: dict) -> dict:
     """Componentwise product on the tensor square, bilinear in both slots."""
-    out: dict[tuple, object] = {}
-    for (a1, a2), c in t1.items():
-        for (b1, b2), d in t2.items():
-            left = quasi_shuffle(
-                HopfElement.from_word(a1), HopfElement.from_word(b1))
-            right = quasi_shuffle(
-                HopfElement.from_word(a2), HopfElement.from_word(b2))
-            cd = c * d
-            for w1, c1 in left.terms.items():
-                for w2, c2 in right.terms.items():
-                    key = (w1, w2)
-                    out[key] = out.get(key, 0) + cd * c1 * c2
-    return {pair: c for pair, c in out.items() if c != 0}
+    pairs = []
+    for ((a1, a2), c), ((b1, b2), d) in product(t1.items(), t2.items()):
+        left = quasi_shuffle(
+            HopfElement.from_word(a1), HopfElement.from_word(b1))
+        right = quasi_shuffle(
+            HopfElement.from_word(a2), HopfElement.from_word(b2))
+        cd = c * d
+        pairs.extend(((w1, w2), cd * c1 * c2)
+                     for w1, c1 in left.terms.items()
+                     for w2, c2 in right.terms.items())
+    return _collect(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +405,7 @@ def differentiate(x) -> HopfElement:
     word with s_i replaced by s_i - 1."""
     if isinstance(x, Word):
         x = HopfElement.from_word(x)
-    out: dict[Word, object] = {}
-    for w, c in x.terms.items():
-        for i, letter in enumerate(w):
-            lowered = Word(
-                w.letters[:i]
-                + (Letter(letter.s - 1, letter.r),)
-                + w.letters[i + 1:])
-            contrib = c * letter.r
-            out[lowered] = out.get(lowered, 0) + contrib
-    return HopfElement(out)
+    return HopfElement(_collect(
+        (Word(w.letters[:i] + (Letter(l.s - 1, l.r),) + w.letters[i + 1:]),
+         c * l.r)
+        for w, c in x.terms.items() for i, l in enumerate(w)))

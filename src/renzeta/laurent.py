@@ -180,6 +180,9 @@ class TPolynomial:
         return self.coeffs == o.coeffs
 
     def __hash__(self):
+        # a constant equals its Fraction, so it hashes like it
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
     def __str__(self):

@@ -367,18 +367,25 @@ def oracle_tail_bound(exponents, directions, eps0: float,
                       terms: int) -> float:
     """Upper bound on what truncating the outer index drops: the dropped
     terms fix n_1 > terms, carry at most n_1^(sum m + depth - 1) inner
-    chains and weight, and decay like exp(n_1 r_1 eps)."""
+    chains and weight, and decay like exp(n_1 r_1 eps).
+
+    With a that exponent and lam = -r_1 eps, the bounding terms
+    t_n = n^a exp(-lam n) rise until n = a/lam and fall after it.  From
+    n0 = max(terms + 1, 2a/lam) on, the ratio t_(n+1)/t_n =
+    (1 + 1/n)^a exp(-lam) falls and starts at rho <= exp(-lam/2), so those
+    terms sum to at most t_n0 / (1 - rho); each term before n0 is at most
+    the peak value (a/lam)^a exp(-a).  No term is summed one by one; a
+    bound beyond the float range is inf.
+    """
     word = argument_word(exponents, directions)
     if not eps0 < 0:
         raise ValueError("tail bounds need eps < 0")
     a = sum(-l.s for l in word) + len(word) - 1
-    q = math.exp(float(word[0].r) * eps0)
-    total = 0.0
-    n = terms + 1
-    while n < terms + 200000:
-        t = n ** a * q ** n
-        total += t
-        if t < 1e-300 or t < total * 1e-18:
-            break
-        n += 1
-    return total
+    lam = -float(word[0].r) * eps0
+    try:
+        n0 = max(terms + 1, math.ceil(2 * a / lam))
+        one_minus_rho = -math.expm1(a * math.log1p(1 / n0) - lam)
+        after = math.exp(a * math.log(n0) - lam * n0) / one_minus_rho
+        return after + (n0 - terms - 1) * (a / lam) ** a * math.exp(-a)
+    except OverflowError:
+        return math.inf

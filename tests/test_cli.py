@@ -1,5 +1,7 @@
 """Command-line behavior: contract outputs, exit codes, schemas."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renzeta.arith import PoleAtZero
 from renzeta.birkhoff import CheckReport
@@ -315,6 +319,60 @@ def test_usage_errors(capsys):
         assert rc == cli.EXIT_USAGE, argv
         assert err.startswith("error: "), argv
         assert "Traceback" not in err and err.count("\n") == 1, argv
+
+
+_EXPONENTS = st.one_of(
+    st.lists(st.integers(-2, 1), min_size=1, max_size=2).map(
+        lambda xs: ",".join(map(str, xs))),
+    st.sampled_from(["", "x", "0,,0", "-", "1.5", " -1", "--1", "0;0"]))
+# three well-formed directions for each malformed one
+_DIRECTION = st.sampled_from(
+    3 * ["1", "2", "1/2", "d", "1+d", "d^2", "2d"]
+    + ["1/0", "0", "-1", "d^", "(d)/(1+d)", "x", ""])
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(
+        ["eval", "directional", "series", "verify", "table"]))
+    argv = [command]
+    if command in ("eval", "directional", "series"):
+        exponents = draw(_EXPONENTS)
+        argv += ["--s", exponents]
+    if command in ("directional", "series"):
+        count = exponents.count(",") + draw(st.sampled_from([1, 1, 1, 2]))
+        argv += ["--r", ",".join(draw(st.lists(
+            _DIRECTION, min_size=count, max_size=count)))]
+    if command == "series":
+        argv += ["--prec", draw(st.sampled_from(
+            ["3", "2", "1", "0", "-1", "x"]))]
+    if command == "verify":
+        argv += ["--suite", draw(st.sampled_from(
+            ["hopf", "rota-baxter", "birkhoff", "differential", "mzv",
+             "all", "nope"]))]
+        argv += ["--max-weight", str(draw(st.integers(-1, 2)))]
+    if command == "table":
+        argv += ["--max-depth", str(draw(st.integers(-1, 2))),
+                 "--min-s", str(draw(st.integers(-2, 1)))]
+    if command in ("eval", "directional") and draw(st.booleans()):
+        argv.append("--approx")
+    return argv + draw(st.sampled_from(
+        [[], ["--format", "text"], ["--format", "json"],
+         ["--format", "xml"]]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_argv())
+def test_argv_fuzz_ends_with_an_exit_code(argv):
+    """Valid and malformed command lines end with an exit code in 0-4 and at
+    most one stderr line, never an exception.  Inputs stay small (exponents
+    >= -2, depth <= 2, verify weight <= 2): nothing caps time or memory yet,
+    and larger inputs run for minutes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    assert rc in range(5), argv
+    assert err.getvalue().count("\n") <= 1, argv
 
 
 def test_closed_output_pipe():

@@ -184,6 +184,15 @@ class TestTRing:
     def test_int_input_normalised_to_fraction(self):
         assert all(type(c) is F for c in TPolynomial((0, 2)).coeffs)
 
+    def test_constants_hash_like_their_value(self):
+        # equal objects must hash equal, or sets and dicts keep both
+        for value in (F(0), F(3), F(-1, 2)):
+            poly = TPolynomial((value,))
+            assert poly == value and hash(poly) == hash(value)
+        assert len({TPolynomial((3,)), 3}) == 1
+        assert len({TPolynomial(()), 0}) == 1
+        assert hash(T) == hash(TPolynomial((0, 1)))
+
     def test_t_coefficient_derivative(self):
         # (T^2) eps^0 differentiates to 2 T eps^-1
         s = series_from_terms(T_POLY_RING, {0: T * T}, 2)

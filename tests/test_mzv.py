@@ -371,3 +371,14 @@ class TestNumericOracle:
         b1 = oracle_tail_bound((0, 0), (1, 1), -0.1, 500)
         b2 = oracle_tail_bound((0, 0), (1, 1), -0.1, 2000)
         assert 0 < b2 < b1
+
+    def test_tail_bound_covers_terms_before_the_peak(self):
+        # a = 1: the tail sum_(n > 10) n q^n has the closed form
+        # q/(1-q)^2 - sum_(n <= 10) n q^n, and its terms peak near n = 1e5
+        q = math.exp(-1e-5)
+        head = math.fsum(n * q ** n for n in range(1, 11))
+        exact = q / (1 - q) ** 2 - head
+        bound = oracle_tail_bound((0, 0), (1, 1), -1e-5, 10)
+        assert exact <= bound < 2 * exact
+        # (80 + 1)-fold terms peaking near n = 8e6 overflow a float
+        assert oracle_tail_bound((-40, -40), (1, 1), -1e-5, 10) == math.inf
