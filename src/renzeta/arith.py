@@ -10,12 +10,19 @@ denominator), so equality and hashing reduce to tuple comparison.  The only
 limit these functions ever need is the value at delta = 0; when the canonical
 denominator vanishes there, the limit does not exist and
 :class:`PoleAtZero` is raised.
+
+``zeta_nonpositive`` memoizes its values in a process-wide ``functools.cache``
+(``cache_info()`` gives size and hits), keyed by k: the series windows ask for
+zeta(-(b + j)) at every slot power b and window index j, so the cache holds at
+most one entry per k up to the largest b + j asked for.  Threads may call it
+at once, at worst computing a value twice; the cached Fractions are immutable.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 __all__ = [
     "PoleAtZero",
@@ -62,6 +69,7 @@ def bernoulli(n: int) -> Fraction:
     return _egf_cache[n] * math.factorial(n)
 
 
+@cache
 def zeta_nonpositive(k: int) -> Fraction:
     """Riemann zeta at -k for k >= 0, as an exact rational.
 

@@ -16,10 +16,18 @@ extended derivation d/d(eps) with T treated as log-like, T' = 1/eps: it sends
 alpha(T) eps^k to (alpha'(T) + k alpha(T)) eps^(k-1).  On T-free series the
 derivation commutes with the projector; with T present it does not, and the
 test suite pins the standard witness instead of pretending otherwise.
+
+Each ring multiplies coefficient tuples through its ``convolve`` hook.  Over
+Q it scales each factor to one common denominator and convolves the integer
+numerators, building one ``Fraction`` per output coefficient; since a
+``Fraction`` is stored reduced, every coefficient, and so every printed byte,
+equals the one the Fraction-by-Fraction sum gives.  The other rings run the
+schoolbook loop over their own elements.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from renzeta.arith import (
@@ -67,11 +75,41 @@ class InsufficientPrecision(PrecisionError):
 
 # ---------------------------------------------------------------------------
 # Coefficient rings.  A ring object bundles the element domain with the few
-# hooks the series needs; elements themselves stay plain values.
+# hooks the series needs; elements themselves stay plain values.  The product
+# hook ``convolve(a, b, n)`` returns the first n coefficients of the product
+# of two coefficient tuples.
+
+def _convolve(ring, a, b, n):
+    """Schoolbook product, one ring multiply-add per coefficient pair."""
+    acc = [ring.zero] * n
+    for i, ca in enumerate(a[:n]):
+        if ring.is_zero(ca):
+            continue
+        for k, cb in enumerate(b[:n - i], i):
+            acc[k] = acc[k] + ca * cb
+    return acc
+
 
 class RationalField:
     zero = Fraction(0)
     one = Fraction(1)
+
+    def convolve(self, a, b, n):
+        # integer multiply-adds over one common denominator per factor;
+        # each output slot is reduced once (see the module docstring)
+        a, b = a[:n], b[:n]
+        da = math.lcm(*(c.denominator for c in a))
+        db = math.lcm(*(c.denominator for c in b))
+        ia = [c.numerator * (da // c.denominator) for c in a]
+        ib = [c.numerator * (db // c.denominator) for c in b]
+        acc = [0] * n
+        for i, x in enumerate(ia):
+            if x:
+                for k, y in enumerate(ib[:n - i], i):
+                    acc[k] += x * y
+        d = da * db
+        zero = self.zero
+        return [Fraction(v, d) if v else zero for v in acc]
 
     def coerce(self, value):
         if isinstance(value, Fraction):
@@ -96,6 +134,9 @@ class RationalField:
 class DeltaFunctionField:
     zero = DeltaRationalFunction(())
     one = DeltaRationalFunction((Fraction(1),))
+
+    def convolve(self, a, b, n):
+        return _convolve(self, a, b, n)
 
     def coerce(self, value):
         if isinstance(value, DeltaRationalFunction):
@@ -195,6 +236,9 @@ class TPolynomial:
 class TPolynomialRing:
     zero = TPolynomial(())
     one = TPolynomial((Fraction(1),))
+
+    def convolve(self, a, b, n):
+        return _convolve(self, a, b, n)
 
     def coerce(self, value):
         v = TPolynomial._coerce(value)
@@ -297,21 +341,13 @@ class TruncatedLaurentSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedLaurentSeries):
             self._check_partner(other)
-            prec = min(self.precision + other.min_order,
-                       other.precision + self.min_order)
-            lo = self.min_order + other.min_order
-            acc = {k: self.ring.zero for k in range(lo, prec)}
-            for i, ca in enumerate(self.coeffs):
-                if self.ring.is_zero(ca):
-                    continue
-                ea = self.min_order + i
-                for j, cb in enumerate(other.coeffs):
-                    e = ea + other.min_order + j
-                    if e >= prec:
-                        break
-                    acc[e] = acc[e] + ca * cb
+            # the product is known below min(self.precision + other.min_order,
+            # other.precision + self.min_order), that is for the shorter
+            # window's length past its lowest exponent
+            n = min(len(self.coeffs), len(other.coeffs))
             return TruncatedLaurentSeries(
-                self.ring, lo, [acc[k] for k in range(lo, prec)])
+                self.ring, self.min_order + other.min_order,
+                self.ring.convolve(self.coeffs, other.coeffs, n))
         return self.scale(other)
 
     def __rmul__(self, other):

@@ -37,3 +37,13 @@ def test_traced_pass_reaches_every_layer():
         assert counters[key] > 0, key
     # one plan per slot-exponent vector
     assert counters["mzv.plans"] == counters["mzv.plan_slot_vectors"]
+    # the tracer splits TruncatedLaurentSeries.__mul__ by ring and counts
+    # multiply-adds from its coefficient tuples; these exact figures break
+    # if the product leaves __mul__ or its coefficients leave the rings
+    assert {key: counters[key] for key in (
+        "laurent.mul_q_calls", "laurent.mul_q_coeff_ops",
+        "laurent.mul_qdelta_calls", "laurent.mul_qdelta_coeff_ops",
+        "laurent.add_calls")} == {
+        "laurent.mul_q_calls": 17, "laurent.mul_q_coeff_ops": 890,
+        "laurent.mul_qdelta_calls": 3, "laurent.mul_qdelta_coeff_ops": 43,
+        "laurent.add_calls": 16}

@@ -318,3 +318,60 @@ class TestProperties:
         if s.precision < 0:
             return
         assert s.pole_part() + s.finite_part() == s
+
+
+# pairwise coprime denominators up to 10^6, so a factor's common denominator
+# can be the product of all of them
+COPRIME_DENOMINATORS = (1, 2 ** 19, 3 ** 12, 5 ** 8, 7 ** 7, 11 ** 5,
+                        999961, 999979, 999983)
+
+kernel_coefficient = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+              st.sampled_from(COPRIME_DENOMINATORS)),
+)
+
+# the constructor trims leading zeros into min_order; interior and all-zero
+# windows come from the zero coefficients
+kernel_window = st.builds(
+    lambda lo, zeros, vals: TruncatedLaurentSeries(
+        Q, lo, [F(0)] * zeros + vals),
+    st.integers(min_value=-3, max_value=2),
+    st.integers(min_value=0, max_value=3),
+    st.lists(kernel_coefficient, min_size=1, max_size=8),
+)
+
+
+def schoolbook_product(a, b):
+    """(precision, {exponent: nonzero coefficient}) of a * b, from a double
+    loop over Fractions."""
+    lo = a.min_order + b.min_order
+    prec = min(a.precision + b.min_order, b.precision + a.min_order)
+    out = {}
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            e = lo + i + j
+            if e < prec:
+                out[e] = out.get(e, F(0)) + x * y
+    return prec, {e: c for e, c in out.items() if c != 0}
+
+
+def lifted(s):
+    return TruncatedLaurentSeries(
+        T_POLY_RING, s.min_order, [TPolynomial((c,)) for c in s.coeffs])
+
+
+class TestRationalKernel:
+    @given(kernel_window, kernel_window)
+    @settings(max_examples=150, deadline=None)
+    def test_product_matches_independent_routes(self, a, b):
+        p = a * b
+        assert all(type(c) is F for c in p.coeffs)
+        prec, nonzero = schoolbook_product(a, b)
+        assert p.precision == prec
+        assert {e: c for e, c in p.terms() if c != 0} == nonzero
+        # the generic ring loop over constant T-polynomials
+        t = lifted(a) * lifted(b)
+        assert t.min_order == p.min_order
+        assert [c.coeffs[0] if c.coeffs else F(0) for c in t.coeffs] \
+            == list(p.coeffs)
