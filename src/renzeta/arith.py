@@ -106,14 +106,31 @@ def poly_neg(a: tuple) -> tuple:
     return tuple(-c for c in a)
 
 
+def _convolve_fractions(a, b, n: int) -> list:
+    """First n coefficients of the product of two Fraction tuples.
+
+    Each factor is scaled to one common denominator, the integer numerators
+    are convolved, and one ``Fraction`` is built per output coefficient, as
+    FLINT's ``fmpq_poly`` does (https://flintlib.org).  A ``Fraction`` is
+    stored reduced, so every coefficient, and so every printed byte, equals
+    the one the Fraction-by-Fraction sum gives.
+    """
+    a, b = a[:n], b[:n]
+    da = math.lcm(*(c.denominator for c in a))
+    db = math.lcm(*(c.denominator for c in b))
+    ia = [c.numerator * (da // c.denominator) for c in a]
+    ib = [c.numerator * (db // c.denominator) for c in b]
+    acc = [0] * n
+    for i, x in enumerate(ia):
+        if x:
+            for k, y in enumerate(ib[:n - i], i):
+                acc[k] += x * y
+    d = da * db
+    return [Fraction(v, d) if v else _ZERO for v in acc]
+
+
 def poly_mul(a: tuple, b: tuple) -> tuple:
-    if not a or not b:
-        return ()
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return poly_trim(out)
+    return poly_trim(_convolve_fractions(a, b, len(a) + len(b) - 1))
 
 
 def poly_divmod(a: tuple, b: tuple) -> tuple:

@@ -83,6 +83,9 @@ def _resolve_precision(args) -> int:
         raise UsageError(f"precision {text!r} is not an integer") from None
     if value < 1:
         raise UsageError("precision must be >= 1")
+    if value > sys.maxsize:
+        # no window of that length can be indexed
+        raise UsageError(f"precision {text!r} is too large")
     return value
 
 
@@ -96,7 +99,11 @@ def _approx_float(value) -> float:
             raise UsageError(
                 "cannot approximate a direction-dependent value")
         value = value.as_rational()
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise UsageError(
+            "cannot approximate a value beyond the float range") from None
 
 
 # ---------------------------------------------------------------------------

@@ -18,20 +18,17 @@ derivation commutes with the projector; with T present it does not, and the
 test suite pins the standard witness instead of pretending otherwise.
 
 Each ring multiplies coefficient tuples through its ``convolve`` hook.  Over
-Q it scales each factor to one common denominator and convolves the integer
-numerators, building one ``Fraction`` per output coefficient; since a
-``Fraction`` is stored reduced, every coefficient, and so every printed byte,
-equals the one the Fraction-by-Fraction sum gives.  The other rings run the
-schoolbook loop over their own elements.
+Q it is the integer kernel that ``arith`` multiplies polynomials with; the
+other rings run the schoolbook loop over their own elements.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from renzeta.arith import (
     DeltaRationalFunction,
+    _convolve_fractions,
     poly_add,
     poly_derivative,
     poly_format,
@@ -95,26 +92,12 @@ class RationalField:
     one = Fraction(1)
 
     def convolve(self, a, b, n):
-        # integer multiply-adds over one common denominator per factor;
-        # each output slot is reduced once (see the module docstring)
-        a, b = a[:n], b[:n]
-        da = math.lcm(*(c.denominator for c in a))
-        db = math.lcm(*(c.denominator for c in b))
-        ia = [c.numerator * (da // c.denominator) for c in a]
-        ib = [c.numerator * (db // c.denominator) for c in b]
-        acc = [0] * n
-        for i, x in enumerate(ia):
-            if x:
-                for k, y in enumerate(ib[:n - i], i):
-                    acc[k] += x * y
-        d = da * db
-        zero = self.zero
-        return [Fraction(v, d) if v else zero for v in acc]
+        return _convolve_fractions(a, b, n)
 
     def coerce(self, value):
         if isinstance(value, Fraction):
             return value
-        if isinstance(value, (int, str)):
+        if isinstance(value, int):
             return Fraction(value)
         raise TypeError(f"cannot coerce {value!r} into Q")
 
@@ -123,9 +106,6 @@ class RationalField:
 
     def coefficient_derivative(self, c):
         return self.zero
-
-    def to_float(self, c) -> float:
-        return float(c)
 
     def coefficient_to_json(self, c):
         return str(c)
@@ -139,20 +119,16 @@ class DeltaFunctionField:
         return _convolve(self, a, b, n)
 
     def coerce(self, value):
-        if isinstance(value, DeltaRationalFunction):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return DeltaRationalFunction.from_rational(value)
-        raise TypeError(f"cannot coerce {value!r} into Q(delta)")
+        v = DeltaRationalFunction._coerce(value)
+        if v is None:
+            raise TypeError(f"cannot coerce {value!r} into Q(delta)")
+        return v
 
     def is_zero(self, c) -> bool:
         return c.is_zero()
 
     def coefficient_derivative(self, c):
         return self.zero
-
-    def to_float(self, c) -> float:
-        raise TypeError("delta-dependent coefficients have no float value")
 
     def coefficient_to_json(self, c):
         return c.to_json()
@@ -253,9 +229,6 @@ class TPolynomialRing:
         # d/d(eps) acts on T as 1/eps; the caller shifts the exponent down
         return c.derivative()
 
-    def to_float(self, c) -> float:
-        raise TypeError("T-dependent coefficients have no float value")
-
     def coefficient_to_json(self, c):
         return [str(x) for x in c.coeffs]
 
@@ -280,17 +253,19 @@ class TruncatedLaurentSeries:
     __slots__ = ("ring", "min_order", "coeffs")
 
     def __init__(self, ring, min_order: int, coeffs):
+        # coerce: the public constructor also takes ints
         cs = [ring.coerce(c) for c in coeffs]
         if not cs:
             raise ValueError("series window must contain at least one slot")
-        while len(cs) > 1 and ring.is_zero(cs[0]):
-            cs.pop(0)
-            min_order += 1
-        if len(cs) == 1 and ring.is_zero(cs[0]):
-            cs[0] = ring.zero
+        # a window of nothing but zeros keeps its last slot, as ring.zero
+        first, last = 0, len(cs) - 1
+        while first < last and ring.is_zero(cs[first]):
+            first += 1
+        if first == last and ring.is_zero(cs[last]):
+            cs[last] = ring.zero
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "min_order", min_order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "min_order", min_order + first)
+        object.__setattr__(self, "coeffs", tuple(cs[first:]))
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedLaurentSeries is immutable")
@@ -429,7 +404,7 @@ class TruncatedLaurentSeries:
 
     def evaluate_float(self, x: float) -> float:
         """Numeric value of the window at eps = x; rational ring only."""
-        return sum(self.ring.to_float(c) * x ** k for k, c in self.terms())
+        return sum(float(c) * x ** k for k, c in self.terms())
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedLaurentSeries):

@@ -308,10 +308,9 @@ def suite_rota_baxter(max_weight: int = 4, seed: int = 0) -> list:
 # ---------------------------------------------------------------------------
 # Decomposition.
 
-def _session_for_words(words, taylor_order=1):
+def _session_for_words(words):
     depth = max((w.pole_depth() for w in words), default=0)
-    return decomposition_session(
-        taylor_order=taylor_order, max_pole_depth=depth)
+    return decomposition_session(taylor_order=1, max_pole_depth=depth)
 
 
 def suite_birkhoff(max_weight: int = 4, seed: int = 0) -> list:

@@ -12,6 +12,7 @@ from renzeta.arith import (
     DeltaRationalFunction,
     PoleAtZero,
     bernoulli,
+    poly_mul,
     zeta_nonpositive,
 )
 
@@ -78,6 +79,33 @@ class TestZetaNonpositive:
 
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=12)
+
+# pairwise coprime denominators up to 10^6, so a factor's common denominator
+# can be the product of all of them
+coprime_fractions = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+              st.sampled_from((1, 2 ** 19, 3 ** 12, 5 ** 8, 7 ** 7, 11 ** 5,
+                               999961, 999979, 999983))),
+)
+# empty, constant and longer tuples, trailing zeros included
+coefficient_tuples = st.lists(coprime_fractions, max_size=6).map(tuple)
+
+
+class TestPolyMul:
+    @given(coefficient_tuples, coefficient_tuples)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_double_loop(self, a, b):
+        expected = [F(0)] * max(len(a) + len(b) - 1, 0)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                expected[i + j] += x * y
+        while expected and expected[-1] == 0:
+            expected.pop()
+        product = poly_mul(a, b)
+        assert product == tuple(expected)
+        assert all(type(c) is F for c in product)
+        assert not product or product[-1] != 0
 
 
 def drf_values(min_terms=0):

@@ -47,3 +47,10 @@ def test_traced_pass_reaches_every_layer():
         "laurent.mul_q_calls": 17, "laurent.mul_q_coeff_ops": 890,
         "laurent.mul_qdelta_calls": 3, "laurent.mul_qdelta_coeff_ops": 43,
         "laurent.add_calls": 16}
+    # the Q(delta) work of the word with a zero: operators, field gcds and
+    # the widest coefficient they produce
+    assert {key: counters[key] for key in (
+        "arith.qdelta_ops", "arith.poly_gcd_calls",
+        "arith.value_max_bits")} == {
+        "arith.qdelta_ops": 250, "arith.poly_gcd_calls": 265,
+        "arith.value_max_bits": 18}

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -303,6 +304,7 @@ def test_usage_errors(capsys):
         ["eval", "--s", "x"],
         ["eval", "--s", ""],
         ["series", "--s", "0", "--r", "1", "--prec", "0"],
+        ["series", "--s", "0", "--r", "1", "--prec", "99999999999999999999"],
         ["series", "--s", "0", "--r", "1,2"],
         ["directional", "--s", "0", "--r", "-1"],
         ["directional", "--s", "0", "--r", "bogus("],
@@ -319,6 +321,22 @@ def test_usage_errors(capsys):
         assert rc == cli.EXIT_USAGE, argv
         assert err.startswith("error: "), argv
         assert "Traceback" not in err and err.count("\n") == 1, argv
+
+
+def test_approx_beyond_float_range(capsys, monkeypatch):
+    # eval --s=-261 has such a value, but takes seconds to compute
+    for sign in (1, -1):
+        huge = sign * Fraction(10 ** 400)
+        monkeypatch.setattr(cli, "renorm_mzv", lambda s: huge)
+        monkeypatch.setattr(cli, "renorm_directional", lambda s, r: huge)
+        for argv in (["eval", "--s", "-1"],
+                     ["directional", "--s", "-1", "--r", "1"]):
+            for fmt in ("text", "json"):
+                full = argv + ["--approx", "--format", fmt]
+                rc, out, err = run(capsys, full)
+                assert rc == cli.EXIT_USAGE and out == "", full
+                assert err == ("error: cannot approximate a value beyond "
+                               "the float range\n"), full
 
 
 _EXPONENTS = st.one_of(
