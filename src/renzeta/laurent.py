@@ -17,9 +17,11 @@ alpha(T) eps^k to (alpha'(T) + k alpha(T)) eps^(k-1).  On T-free series the
 derivation commutes with the projector; with T present it does not, and the
 test suite pins the standard witness instead of pretending otherwise.
 
-Each ring multiplies coefficient tuples through its ``convolve`` hook.  Over
-Q it is the integer kernel that ``arith`` multiplies polynomials with; the
-other rings run the schoolbook loop over their own elements.
+Every ring derives from ``_Ring``, which holds the shared hooks: the
+schoolbook ``convolve`` over the ring's elements, coercion through the
+element class's ``_coerce``, the zero test and a zero coefficient
+derivative.  A ring declares its element class, name, zero, one and JSON
+form; Q keeps its own coercion, zero test and the integer kernel of arith.
 """
 
 from __future__ import annotations
@@ -76,52 +78,23 @@ class InsufficientPrecision(PrecisionError):
 # hook ``convolve(a, b, n)`` returns the first n coefficients of the product
 # of two coefficient tuples.
 
-def _convolve(ring, a, b, n):
-    """Schoolbook product, one ring multiply-add per coefficient pair."""
-    acc = [ring.zero] * n
-    for i, ca in enumerate(a[:n]):
-        if ring.is_zero(ca):
-            continue
-        for k, cb in enumerate(b[:n - i], i):
-            acc[k] = acc[k] + ca * cb
-    return acc
-
-
-class RationalField:
-    zero = Fraction(0)
-    one = Fraction(1)
+class _Ring:
+    """Hooks shared by the rings; see the module docstring."""
 
     def convolve(self, a, b, n):
-        return _convolve_fractions(a, b, n)
+        """Schoolbook product, one ring multiply-add per coefficient pair."""
+        acc = [self.zero] * n
+        for i, ca in enumerate(a[:n]):
+            if self.is_zero(ca):
+                continue
+            for k, cb in enumerate(b[:n - i], i):
+                acc[k] = acc[k] + ca * cb
+        return acc
 
     def coerce(self, value):
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        raise TypeError(f"cannot coerce {value!r} into Q")
-
-    def is_zero(self, c) -> bool:
-        return c == 0
-
-    def coefficient_derivative(self, c):
-        return self.zero
-
-    def coefficient_to_json(self, c):
-        return str(c)
-
-
-class DeltaFunctionField:
-    zero = DeltaRationalFunction(())
-    one = DeltaRationalFunction((Fraction(1),))
-
-    def convolve(self, a, b, n):
-        return _convolve(self, a, b, n)
-
-    def coerce(self, value):
-        v = DeltaRationalFunction._coerce(value)
+        v = self.element._coerce(value)
         if v is None:
-            raise TypeError(f"cannot coerce {value!r} into Q(delta)")
+            raise TypeError(f"cannot coerce {value!r} into {self.name}")
         return v
 
     def is_zero(self, c) -> bool:
@@ -129,6 +102,36 @@ class DeltaFunctionField:
 
     def coefficient_derivative(self, c):
         return self.zero
+
+
+class RationalField(_Ring):
+    name = "Q"
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def convolve(self, a, b, n):
+        return _convolve_fractions(a, b, n)
+
+    def coerce(self, value):
+        # runs on every coefficient of every series: Fraction first
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, int):
+            return Fraction(value)
+        raise TypeError(f"cannot coerce {value!r} into {self.name}")
+
+    def is_zero(self, c) -> bool:
+        return c == 0
+
+    def coefficient_to_json(self, c):
+        return str(c)
+
+
+class DeltaFunctionField(_Ring):
+    element = DeltaRationalFunction
+    name = "Q(delta)"
+    zero = DeltaRationalFunction(())
+    one = DeltaRationalFunction((Fraction(1),))
 
     def coefficient_to_json(self, c):
         return c.to_json()
@@ -209,21 +212,11 @@ class TPolynomial:
         return f"TPolynomial({str(self)!r})"
 
 
-class TPolynomialRing:
+class TPolynomialRing(_Ring):
+    element = TPolynomial
+    name = "Q[T]"
     zero = TPolynomial(())
     one = TPolynomial((Fraction(1),))
-
-    def convolve(self, a, b, n):
-        return _convolve(self, a, b, n)
-
-    def coerce(self, value):
-        v = TPolynomial._coerce(value)
-        if v is None:
-            raise TypeError(f"cannot coerce {value!r} into Q[T]")
-        return v
-
-    def is_zero(self, c) -> bool:
-        return c.is_zero()
 
     def coefficient_derivative(self, c):
         # d/d(eps) acts on T as 1/eps; the caller shifts the exponent down
@@ -372,14 +365,10 @@ class TruncatedLaurentSeries:
         the T ring each coefficient also contributes its own T-derivative
         at the lowered exponent, since T differentiates to 1/eps.
         """
-        vals = {}
-        for k, c in self.terms():
-            vals[k - 1] = k * c + self.ring.coefficient_derivative(c)
-        lo = self.min_order - 1
-        prec = self.precision - 1
+        ring = self.ring
         return TruncatedLaurentSeries(
-            self.ring, lo, [vals.get(k, self.ring.zero)
-                            for k in range(lo, prec)])
+            ring, self.min_order - 1,
+            [k * c + ring.coefficient_derivative(c) for k, c in self.terms()])
 
     # -- window management --------------------------------------------------
 

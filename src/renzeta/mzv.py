@@ -124,10 +124,13 @@ def _compositions(total: int, slots: int):
 
 
 def expansion_plans(exponents, directions):
-    """Yield one plan per monomial of prod_i (j_i + ... + j_k)^(m_i)."""
+    """Yield one plan per monomial of prod_i (j_i + ... + j_k)^(m_i), its
+    cumulative directions in the argument's ring: Q(delta) once any
+    direction is, so a rational prefix still gets Q(delta) windows."""
     word = argument_word(exponents, directions)
     k = len(word)
-    rho = tuple(accumulate(l.r for l in word))
+    ring = _ring_for(tuple(l.r for l in word))
+    rho = tuple(accumulate(ring.coerce(l.r) for l in word))
     poly = {(0,) * k: 1}
     for i, letter in enumerate(word):
         for _ in range(-letter.s):
@@ -141,33 +144,33 @@ def expansion_plans(exponents, directions):
         yield ExpansionPlan(rho, slots, c)
 
 
-def one_var_series(power: int, direction, precision: int,
-                   ring=None) -> TruncatedLaurentSeries:
+def one_var_series(power: int, direction,
+                   precision: int) -> TruncatedLaurentSeries:
     """Window of sum_{j>=1} j^power exp(j direction eps).
 
     Single pole of order power+1 with coefficient
     (-1)^(power+1) power! direction^(-power-1), no other negative
-    exponents, and zeta(-power-j) direction^j / j! at eps^j.
+    exponents, and zeta(-power-j) direction^j / j! at eps^j.  The window
+    lies in the direction's ring, Q(delta) or Q.
     """
     if power < 0:
         raise ValueError("slot power must be >= 0")
     if precision < 1:
         raise ValueError("window must reach past eps^0")
     direction = _check_direction(direction)
-    if ring is None:
-        ring = _ring_for((direction,))
-    return _one_var_window(power, direction, precision, ring)
+    return _one_var_window(power, direction, precision,
+                           _ring_for((direction,)))
 
 
+# the ring stays in the key: a constant DeltaRationalFunction equals and
+# hashes like its Fraction, yet must get a Q(delta) window
 @lru_cache(maxsize=None)
-def _one_var_window(b, direction, precision, ring):
-    rho = ring.coerce(direction)
+def _one_var_window(b, rho, precision, ring):
     vals = [(-1) ** (b + 1) * math.factorial(b) * rho ** (-(b + 1))]
     vals += [ring.zero] * b
     power = ring.one
     for j in range(precision):
-        vals.append(zeta_nonpositive(b + j) * power
-                    * Fraction(1, math.factorial(j)))
+        vals.append(zeta_nonpositive(b + j) * power / math.factorial(j))
         power = power * rho
     return TruncatedLaurentSeries(ring, -(b + 1), vals)
 
@@ -176,21 +179,19 @@ def regularized_expansion(exponents, directions,
                           precision: int) -> TruncatedLaurentSeries:
     """Exact window of the regularized nested sum, O(eps^precision) tail.
 
-    Every plan has total pole depth M, so the factor with pole order b+1
-    is requested at precision + M - (b+1): each plan product then lands
-    exactly on the window [-M, precision).
+    Every plan has total pole depth M, the sum of b + 1 over its slot
+    exponents b, so the factor with pole order b+1 is requested at
+    precision + M - (b+1): each plan product then lands exactly on the
+    window [-M, precision).
     """
     if precision < 1:
         raise ValueError("window must reach past eps^0")
-    word = argument_word(exponents, directions)
-    ring = _ring_for(tuple(l.r for l in word))
-    depth = word.pole_depth()
     acc = None
     for plan in expansion_plans(exponents, directions):
+        depth = sum(plan.slot_exponents) + len(plan.slot_exponents)
         prod = None
         for b, rho in zip(plan.slot_exponents, plan.cumulative_directions):
-            factor = one_var_series(
-                b, rho, precision + depth - (b + 1), ring)
+            factor = one_var_series(b, rho, precision + depth - (b + 1))
             prod = factor if prod is None else prod * factor
         prod = prod.scale(plan.multiplicity)
         acc = prod if acc is None else acc + prod

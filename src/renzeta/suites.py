@@ -225,9 +225,9 @@ def suite_hopf(max_weight: int = 4, seed: int = 0) -> list:
 # ---------------------------------------------------------------------------
 # Series algebra.
 
-def _random_series(rng, ring=RATIONAL_FIELD, lo=(-2, 0), length=(5, 8)):
-    mo = rng.randint(*lo)
-    n = rng.randint(*length)
+def _random_series(rng, ring=RATIONAL_FIELD):
+    mo = rng.randint(-2, 0)
+    n = rng.randint(5, 8)
     if ring is T_POLY_RING:
         def coeff():
             return T * rng.randint(-3, 3) + rng.randint(-3, 3)

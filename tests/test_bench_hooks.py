@@ -54,3 +54,11 @@ def test_traced_pass_reaches_every_layer():
         "arith.value_max_bits")} == {
         "arith.qdelta_ops": 250, "arith.poly_gcd_calls": 265,
         "arith.value_max_bits": 18}
+    # the mzv work: expansions, their plans and one-variable windows, and
+    # the words the sessions decompose
+    assert {key: counters[key] for key in (
+        "mzv.expansion_calls", "mzv.one_var_calls", "mzv.one_var_distinct",
+        "mzv.plans", "birkhoff.words_decomposed")} == {
+        "mzv.expansion_calls": 9, "mzv.one_var_calls": 32,
+        "mzv.one_var_distinct": 25, "mzv.plans": 16,
+        "birkhoff.words_decomposed": 5}

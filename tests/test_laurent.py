@@ -238,6 +238,29 @@ class TestDeltaCoefficients:
             s.evaluate_float(0.5)
 
 
+class TestRingCoercion:
+    @pytest.mark.parametrize("ring, element", [
+        (RATIONAL_FIELD, Fraction),
+        (DELTA_FIELD, type(DELTA)),
+        (T_POLY_RING, TPolynomial),
+    ])
+    def test_rationals_land_in_the_ring(self, ring, element):
+        for value in (3, F(-2, 5)):
+            c = ring.coerce(value)
+            assert type(c) is element
+            assert c == value
+
+    @pytest.mark.parametrize("ring, foreign, name", [
+        (RATIONAL_FIELD, DELTA, "into Q"),
+        (DELTA_FIELD, T, "into Q(delta)"),
+        (T_POLY_RING, DELTA, "into Q[T]"),
+    ])
+    def test_another_rings_element_is_refused(self, ring, foreign, name):
+        with pytest.raises(TypeError) as info:
+            ring.coerce(foreign)
+        assert str(info.value).endswith(name)
+
+
 class TestOutput:
     def test_text_form_examples(self):
         a = zeta_window(1, 2) * zeta_window(2, 2)

@@ -210,6 +210,15 @@ class TestRegularizedExpansion:
             c = delta_s.coefficient(k)
             assert c.evaluate(0) == rational_s.coefficient(k)
 
+    @pytest.mark.parametrize("s, r", [
+        ((-1, 0), (F(1), F(2))),
+        ((0, -1), (F(1, 2), 1 + DELTA)),
+    ])
+    def test_arguments_are_read_once(self, s, r):
+        # one-shot iterables: the argument is validated in one place
+        assert regularized_expansion(iter(s), iter(r), 2) == \
+            regularized_expansion(s, r, 2)
+
 
 class TestRenormalizedValues:
     def test_depth_one_direction_free(self):
@@ -271,14 +280,19 @@ class TestRenormalizedValues:
         assert len(calls) > 0
 
     def test_mixed_rational_and_delta_directions(self):
-        # the rational suffix (0,2) is decomposed over Q(delta) too; the
-        # rational-delta probes at delta = 0 and delta = 1 are the
+        # the rational-delta probes at delta = 0 and delta = 1 are the
         # independent route
-        v = renorm_directional((0, 0), (1 + DELTA, 2))
-        assert v.limit_at_zero() == F(13, 36)
-        assert v.limit_at_zero() == renorm_directional((0, 0), (1, 2))
-        assert v.evaluate(1) == F(3, 8)
-        assert v.evaluate(1) == renorm_directional((0, 0), (2, 2))
+        for r, limit, rational in [
+                # the rational suffix (0,2) is decomposed over Q(delta) too
+                ((1 + DELTA, 2), F(13, 36), (1, 2)),
+                # a rational prefix: its cumulative direction 2 lies in
+                # Q(delta)
+                ((2, 1 + DELTA), F(7, 18), (2, 1))]:
+            v = renorm_directional((0, 0), r)
+            assert v.limit_at_zero() == limit
+            assert v.limit_at_zero() == renorm_directional((0, 0), rational)
+            assert v.evaluate(1) == F(3, 8)
+            assert v.evaluate(1) == renorm_directional((0, 0), (2, 2))
 
     def test_value_level_quasi_shuffle(self):
         # zeta(0)^2 = 2 zbar(0,0) + zeta(0) via the merged letter
