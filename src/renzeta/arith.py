@@ -11,6 +11,28 @@ limit these functions ever need is the value at delta = 0; when the canonical
 denominator vanishes there, the limit does not exist and
 :class:`PoleAtZero` is raised.
 
+The canonical form is reached with as little gcd work as possible.
+``poly_gcd`` runs Euclid on integer primitive parts (pseudo-remainders, each
+made primitive again) and returns the unique monic gcd; a constant operand
+gives 1 at once.  Known factors are divided out over the integers: by Gauss's
+lemma the primitive form of a factor divides that of its multiple over Z,
+and an inexact step raises instead of truncating.  The operators start from
+canonical operands and cancel before multiplying, as ``fractions.Fraction``
+does (Henrici's method), so their results need no full reduction:
+
+- a product divides out g1 = gcd(n_a, d_b) and g2 = gcd(n_b, d_a); what is
+  left of each numerator is coprime to both denominators;
+- a sum with g = gcd(d_a, d_b) forms n = n_a (d_b/g) + n_b (d_a/g) over
+  d_a (d_b/g): a prime of d_a/g divides n_b (d_a/g) but neither n_a nor
+  d_b/g, so only the primes of g can divide n, and dividing out gcd(n, g)
+  leaves a coprime pair (for g = 1 the cross-multiplied pair is coprime);
+- negation, the swap of a negative power and powers of a coprime pair stay
+  coprime.
+
+A gcd whose operand is a constant is skipped, and quotients of monic
+polynomials by monic ones are monic, so the operators only check that the
+denominator is monic.  Every polynomial gcd goes through ``poly_gcd``.
+
 ``zeta_nonpositive`` memoizes its values in a process-wide ``functools.cache``
 (``cache_info()`` gives size and hits), keyed by k: the series windows ask for
 zeta(-(b + j)) at every slot power b and window index j, so the cache holds at
@@ -133,23 +155,6 @@ def poly_mul(a: tuple, b: tuple) -> tuple:
     return poly_trim(_convolve_fractions(a, b, len(a) + len(b) - 1))
 
 
-def poly_divmod(a: tuple, b: tuple) -> tuple:
-    """Quotient and remainder of dense polynomials; b must be nonzero."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quo = [_ZERO] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    for i in range(len(rem) - len(b), -1, -1):
-        factor = rem[i + len(b) - 1] / lead
-        if factor == 0:
-            continue
-        quo[i] = factor
-        for j, cb in enumerate(b):
-            rem[i + j] -= factor * cb
-    return poly_trim(quo), poly_trim(rem)
-
-
 def poly_monic(a: tuple) -> tuple:
     if not a:
         return ()
@@ -157,11 +162,89 @@ def poly_monic(a: tuple) -> tuple:
     return tuple(c / lead for c in a)
 
 
+def _integer_form(a: tuple) -> tuple:
+    """(numerator, denominator, primitive) with a = numerator/denominator *
+    primitive: one lcm of the denominators, one gcd content, and an integer
+    list of content one.  a must be nonzero."""
+    den = math.lcm(*(c.denominator for c in a))
+    ints = [c.numerator * (den // c.denominator) for c in a]
+    content = math.gcd(*ints)
+    return content, den, [x // content for x in ints]
+
+
+def _primitive_remainder(a: list, b: list) -> list:
+    """Primitive part of the pseudo-remainder of integer lists a by b,
+    len(a) >= len(b) > 1; each step scales the running remainder by the
+    cofactor of its leading term only."""
+    r = list(a)
+    lead, nb = b[-1], len(b)
+    while len(r) >= nb:
+        top = r[-1]
+        g = math.gcd(top, lead)
+        scale, t = lead // g, top // g
+        if scale != 1:
+            r = [scale * x for x in r]
+        k = len(r) - nb
+        for j, y in enumerate(b):
+            r[k + j] -= t * y
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    if r:
+        content = math.gcd(*r)
+        if content != 1:
+            r = [x // content for x in r]
+    return r
+
+
 def poly_gcd(a: tuple, b: tuple) -> tuple:
-    """Monic gcd by the Euclidean algorithm; gcd((), ()) = ()."""
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    return poly_monic(a)
+    """Monic gcd; gcd((), ()) = () and a nonzero constant gives (1,).
+
+    Euclid runs on the integer primitive parts with pseudo-remainders, each
+    remainder made primitive again; the monic gcd is unique, so it equals
+    the one Euclid over Fraction coefficients gives.
+    """
+    if not a or not b:
+        return poly_monic(a or b)
+    if len(a) == 1 or len(b) == 1:
+        return (_ONE,)
+    a, b = _integer_form(a)[2], _integer_form(b)[2]
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        a, b = b, _primitive_remainder(a, b)
+    if b:
+        return (_ONE,)
+    lead = a[-1]
+    return tuple(Fraction(c, lead) for c in a)
+
+
+def _exact_quotient(a: tuple, g: tuple) -> tuple:
+    """a / g for a monic g known to divide a nonzero a.
+
+    By Gauss's lemma the primitive integer form of g divides that of a over
+    Z, so the long division runs over ints; a step that does not divide
+    exactly raises ArithmeticError instead of truncating.
+    """
+    if len(g) == 1:
+        return a
+    num, den, ia = _integer_form(a)
+    _, _, ig = _integer_form(g)
+    lead, ng = ig[-1], len(ig)
+    quo = [0] * (len(ia) - ng + 1)
+    for i in range(len(quo) - 1, -1, -1):
+        q, r = divmod(ia[i + ng - 1], lead)
+        if r:
+            raise ArithmeticError("polynomial quotient is not exact")
+        quo[i] = q
+        if q:
+            for j, y in enumerate(ig):
+                ia[i + j] -= q * y
+    if any(ia[:ng - 1]):
+        raise ArithmeticError("polynomial quotient is not exact")
+    # g = ig / lead, so a / g = num/den * lead * quo
+    num *= lead
+    return tuple(Fraction(q * num, den) if q else _ZERO for q in quo)
 
 
 def poly_eval(a: tuple, x: Fraction) -> Fraction:
@@ -241,6 +324,13 @@ def poly_parse(text: str, var: str) -> tuple:
 # ---------------------------------------------------------------------------
 # The field Q(delta).
 
+def _gcd_unless_constant(a: tuple, b: tuple) -> tuple:
+    """poly_gcd of two nonzero polynomials, skipped when one is constant."""
+    if len(a) == 1 or len(b) == 1:
+        return (_ONE,)
+    return poly_gcd(a, b)
+
+
 class DeltaRationalFunction:
     """Element of the field of rational functions in delta over Q.
 
@@ -256,19 +346,27 @@ class DeltaRationalFunction:
         if not d:
             raise ZeroDivisionError("rational function with zero denominator")
         if not n:
-            object.__setattr__(self, "num", ())
-            object.__setattr__(self, "den", (_ONE,))
-            return
-        g = poly_gcd(n, d)
-        if len(g) > 1:
-            n = poly_divmod(n, g)[0]
-            d = poly_divmod(d, g)[0]
+            d = (_ONE,)
+        elif len(n) > 1 and len(d) > 1:
+            g = poly_gcd(n, d)
+            n, d = _exact_quotient(n, g), _exact_quotient(d, g)
+        self._set(n, d)
+
+    def _set(self, n, d):
         lead = d[-1]
         if lead != 1:
             n = tuple(c / lead for c in n)
             d = tuple(c / lead for c in d)
         object.__setattr__(self, "num", n)
         object.__setattr__(self, "den", d)
+
+    @classmethod
+    def _reduced(cls, n, d):
+        """The value n/d of a coprime pair: only the denominator is made
+        monic."""
+        out = object.__new__(cls)
+        out._set(n, d)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("DeltaRationalFunction is immutable")
@@ -311,15 +409,30 @@ class DeltaRationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return DeltaRationalFunction(
-            poly_add(poly_mul(self.num, o.den), poly_mul(o.num, self.den)),
-            poly_mul(self.den, o.den),
-        )
+        if not o.num:
+            return self
+        if not self.num:
+            return o
+        da, db = self.den, o.den
+        g = _gcd_unless_constant(da, db)
+        if len(g) == 1:
+            # coprime denominators: no factor of da*db divides the sum
+            return DeltaRationalFunction._reduced(
+                poly_add(poly_mul(self.num, db), poly_mul(o.num, da)),
+                poly_mul(da, db))
+        ca, cb = _exact_quotient(da, g), _exact_quotient(db, g)
+        n = poly_add(poly_mul(self.num, cb), poly_mul(o.num, ca))
+        if not n:
+            return DeltaRationalFunction(())
+        # the factors of ca and cb cannot divide n; only those of g can
+        h = _gcd_unless_constant(n, g)
+        return DeltaRationalFunction._reduced(
+            _exact_quotient(n, h), poly_mul(_exact_quotient(da, h), cb))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DeltaRationalFunction(poly_neg(self.num), self.den)
+        return DeltaRationalFunction._reduced(poly_neg(self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -337,19 +450,29 @@ class DeltaRationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return DeltaRationalFunction(
-            poly_mul(self.num, o.num), poly_mul(self.den, o.den))
+        # cancel across before multiplying (module docstring)
+        if not self.num or not o.num:
+            return DeltaRationalFunction(())
+        g1 = _gcd_unless_constant(self.num, o.den)
+        g2 = _gcd_unless_constant(o.num, self.den)
+        return DeltaRationalFunction._reduced(
+            poly_mul(_exact_quotient(self.num, g1),
+                     _exact_quotient(o.num, g2)),
+            poly_mul(_exact_quotient(self.den, g2),
+                     _exact_quotient(o.den, g1)))
 
     __rmul__ = __mul__
+
+    def _inverse(self):
+        if not self.num:
+            raise ZeroDivisionError("division by the zero rational function")
+        return DeltaRationalFunction._reduced(self.den, self.num)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return DeltaRationalFunction(
-            poly_mul(self.num, o.den), poly_mul(self.den, o.num))
+        return self * o._inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -360,17 +483,14 @@ class DeltaRationalFunction:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            if self.is_zero():
-                raise ZeroDivisionError("zero has no negative power")
-            base = DeltaRationalFunction(self.den, self.num)
-            exponent = -exponent
-        else:
-            base = self
-        out = DeltaRationalFunction((_ONE,))
-        for _ in range(exponent):
-            out = out * base
-        return out
+        if exponent < 0 and not self.num:
+            raise ZeroDivisionError("zero has no negative power")
+        base = self._inverse() if exponent < 0 else self
+        # powers of a coprime pair stay coprime
+        num, den = (_ONE,), (_ONE,)
+        for _ in range(abs(exponent)):
+            num, den = poly_mul(num, base.num), poly_mul(den, base.den)
+        return DeltaRationalFunction._reduced(num, den)
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -18,9 +18,7 @@ from renzeta.arith import DeltaRationalFunction, PoleAtZero
 from renzeta.hopf import _parse_direction
 from renzeta.laurent import PrecisionError
 from renzeta.mzv import (
-    _ring_for,
-    argument_word,
-    decomposition_session,
+    _word_session,
     renorm_directional,
     renorm_mzv,
 )
@@ -139,9 +137,8 @@ def cmd_series(args) -> int:
     s = _parse_exponents(args.s)
     r = _parse_directions(args.r, len(s))
     precision = _resolve_precision(args)
-    word = argument_word(s, r)
-    depth = word.pole_depth()
-    session = decomposition_session(precision - 1, depth, _ring_for(r))
+    word, session = _word_session(s, r, precision - 1)
+    depth = session.character.budget.max_pole_depth
     # precision counts printed coefficients: the regularized window starts
     # at -depth, the pole-free window at 0
     regularized = session.character.on_word(word).truncated(

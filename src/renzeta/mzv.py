@@ -227,13 +227,19 @@ def decomposition_session(taylor_order: int, max_pole_depth: int,
         expansion_character(ring, taylor_order, max_pole_depth))
 
 
+def _word_session(exponents, directions, taylor_order: int):
+    """The validated word of one argument and a session in its ring, sized
+    for its pole depth."""
+    word = argument_word(exponents, directions)
+    ring = _ring_for(tuple(l.r for l in word))
+    return word, decomposition_session(
+        taylor_order, word.pole_depth(), ring)
+
+
 def renormalized_series(exponents, directions,
                         taylor_order: int) -> TruncatedLaurentSeries:
     """Pole-free part of the decomposition, exact through eps^taylor_order."""
-    word = argument_word(exponents, directions)
-    ring = _ring_for(tuple(l.r for l in word))
-    session = decomposition_session(
-        taylor_order, word.pole_depth(), ring)
+    word, session = _word_session(exponents, directions, taylor_order)
     return session.renormalized(word)
 
 

@@ -4,14 +4,16 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from renzeta import arith
 from renzeta.arith import (
     DELTA,
     DeltaRationalFunction,
     PoleAtZero,
     bernoulli,
+    poly_gcd,
     poly_mul,
     zeta_nonpositive,
 )
@@ -216,3 +218,150 @@ class TestDeltaRationalFunction:
         assert v.is_rational() and v.as_rational() == q
         assert v.limit_at_zero() == q
         assert hash(v) == hash(q)
+
+
+# ---------------------------------------------------------------------------
+# Q(delta) against an independent route: Euclid over Fraction coefficients
+# and the naive cross-multiplied pair, reduced afterwards.
+
+def trimmed(coeffs):
+    cs = [F(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def naive_mul(a, b):
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trimmed(out)
+
+
+def naive_add(a, b):
+    n = max(len(a), len(b))
+    return trimmed((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                   for i in range(n))
+
+
+def oracle_divmod(a, b):
+    rem = list(a)
+    quo = [F(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(rem) - len(b), -1, -1):
+        factor = rem[i + len(b) - 1] / b[-1]
+        quo[i] = factor
+        for j, c in enumerate(b):
+            rem[i + j] -= factor * c
+    return trimmed(quo), trimmed(rem)
+
+
+def oracle_gcd(a, b):
+    while b:
+        a, b = b, oracle_divmod(a, b)[1]
+    return tuple(c / a[-1] for c in a) if a else ()
+
+
+def oracle_reduce(num, den):
+    """Canonical (num, den): coprime, monic denominator, zero as ((), (1,))."""
+    n, d = trimmed(num), trimmed(den)
+    if not n:
+        return (), (F(1),)
+    g = oracle_gcd(n, d)
+    n, d = oracle_divmod(n, g)[0], oracle_divmod(d, g)[0]
+    return tuple(c / d[-1] for c in n), tuple(c / d[-1] for c in d)
+
+
+def naive_power(p, k):
+    out = (F(1),)
+    for _ in range(k):
+        out = naive_mul(out, p)
+    return out
+
+
+def _product_of_powers(factors):
+    out = (F(1),)
+    for a, l, k in factors:
+        out = naive_mul(out, naive_power((a, F(l)), k))
+    return out
+
+
+polys = st.lists(small_fractions, max_size=4).map(trimmed)
+nonzero_polys = polys.filter(bool)
+# products of powers of (a + l*d): the denominators auto-delta directions
+# |s_i| + delta give
+delta_denominators = st.lists(
+    st.tuples(st.sampled_from((F(1, 2), F(1), F(2), F(3))),
+              st.integers(min_value=1, max_value=3),
+              st.integers(min_value=1, max_value=3)),
+    max_size=3,
+).map(_product_of_powers)
+fractions_in_delta = st.tuples(
+    polys, st.one_of(nonzero_polys, delta_denominators))
+
+
+def as_pair(value):
+    return value.num, value.den
+
+
+class TestFieldAgainstOracle:
+    @given(polys, polys, polys)
+    @settings(max_examples=100, deadline=None)
+    def test_poly_gcd_equals_euclid_over_fractions(self, f, g, h):
+        # zero, constants, and a factor g shared by f*g and h*g
+        for a, b in ((f, h), (naive_mul(f, g), naive_mul(h, g)),
+                     (g, ()), ((), g), (f, (F(3),))):
+            assert poly_gcd(a, b) == oracle_gcd(a, b), (a, b)
+
+    @given(fractions_in_delta)
+    @settings(max_examples=80, deadline=None)
+    def test_constructor_reduces_like_the_oracle(self, pair):
+        assert as_pair(DRF(*pair)) == oracle_reduce(*pair)
+
+    @given(fractions_in_delta, fractions_in_delta)
+    @settings(max_examples=100, deadline=None)
+    @example(((0, 1), (1, 1)), ((1,), (1, 1)))
+    def test_operators_equal_the_reduced_naive_pair(self, p, q):
+        a, b = DRF(*p), DRF(*q)
+        (na, da), (nb, db) = as_pair(a), as_pair(b)
+        cross = naive_add(naive_mul(na, db), naive_mul(nb, da))
+        assert as_pair(a + b) == oracle_reduce(cross, naive_mul(da, db))
+        cross = naive_add(naive_mul(na, db),
+                          naive_mul(tuple(-c for c in nb), da))
+        assert as_pair(a - b) == oracle_reduce(cross, naive_mul(da, db))
+        assert as_pair(a * b) == oracle_reduce(
+            naive_mul(na, nb), naive_mul(da, db))
+        if nb:
+            assert as_pair(a / b) == oracle_reduce(
+                naive_mul(na, db), naive_mul(da, nb))
+
+    @given(fractions_in_delta, fractions_in_delta)
+    @settings(max_examples=80, deadline=None)
+    def test_sums_that_cancel_into_the_shared_factor(self, p, q):
+        # b = c - a, so a + b = c has a smaller denominator than the
+        # cross-multiplied pair: the common factor must be divided out
+        a, c = DRF(*p), DRF(*q)
+        (na, da), (nc, dc) = as_pair(a), as_pair(c)
+        b = DRF(*oracle_reduce(
+            naive_add(naive_mul(nc, da), naive_mul(tuple(-x for x in na), dc)),
+            naive_mul(dc, da)))
+        assert as_pair(a + b) == oracle_reduce(nc, dc)
+
+    @given(fractions_in_delta, st.integers(min_value=-3, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_power_equals_the_reduced_naive_pair(self, p, k):
+        a = DRF(*p)
+        n, d = as_pair(a)
+        if k < 0:
+            if not n:
+                with pytest.raises(ZeroDivisionError):
+                    a ** k
+                return
+            n, d = d, n
+        assert as_pair(a ** k) == oracle_reduce(
+            naive_power(n, abs(k)), naive_power(d, abs(k)))
+
+    def test_inexact_quotient_raises(self):
+        # 1 + d^2 is not a multiple of 1 + d
+        with pytest.raises(ArithmeticError):
+            arith._exact_quotient((F(1), F(0), F(1)), (F(1), F(1)))

@@ -87,6 +87,31 @@ def test_directional_delta_directions(capsys):
     assert rc == 0 and out == "3/8\n"
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["directional", "--s=0,0,-1", "--r=d,1+d^2,1/2+d"],
+     "(-479/3840 - 1229/1920*d - 20209/11520*d^2 - 2273/720*d^3"
+     " - 37/9*d^4 - 11527/2880*d^5 - 1705/576*d^6 - 59/36*d^7"
+     " - 95/144*d^8 - 7/40*d^9 - 1/40*d^10)/(81/16 + 405/16*d"
+     " + 1089/16*d^2 + 243/2*d^3 + 631/4*d^4 + 154*d^5 + 229/2*d^6"
+     " + 64*d^7 + 26*d^8 + 7*d^9 + d^10)\n"),
+    (["directional", "--s=-1,0", "--r=d,3+d", "--format", "json"],
+     '{"r": ["d", "3 + d"], "s": [-1, 0], "value": "1/12"}\n'),
+    (["series", "--s=0,-1", "--r=1+d,2d", "--prec", "3"],
+     "regularized: (-1/9)/(1/9 + 7/9*d + 5/3*d^2 + d^3)\u00b7eps^-3"
+     " + (-1/18)/(1/9 + 2/3*d + d^2)\u00b7eps^-2"
+     " + (1/27*d + 2/27*d^2)/(1/9 + 7/9*d + 5/3*d^2 + d^3)\u00b7eps^-1"
+     " + O(eps^0)\n"
+     "renormalized: 1/24 + (1/2160 + 1/1296*d - 13/2160*d^2"
+     " - 89/6480*d^3)/(1/9 + 2/3*d + d^2)\u00b7eps"
+     " + (-1/480 - 1/80*d - 3/160*d^2)\u00b7eps^2 + O(eps^3)\n"),
+])
+def test_delta_direction_bytes(capsys, argv, expected):
+    # Q(delta) text and JSON that no recorded benchmark output covers
+    rc, out, err = run(capsys, argv)
+    assert (rc, err) == (0, "")
+    assert out == expected
+
+
 def test_mixed_rational_and_delta_directions(capsys):
     for argv in (["directional", "--s", "0,0", "--r", "1+d,2"],
                  ["series", "--s", "0,-1", "--r", "1/2,d"]):
