@@ -33,6 +33,12 @@ A gcd whose operand is a constant is skipped, and quotients of monic
 polynomials by monic ones are monic, so the operators only check that the
 denominator is monic.  Every polynomial gcd goes through ``poly_gcd``.
 
+Products of Fraction sequences, the Q series windows and the Q(delta) and
+Q[T] polynomials alike, bring each factor over one common denominator and
+convolve the integer numerators in ``_convolve_integers``, the package's one
+integer multiply-add loop; the integer windows of the regularized expansion
+(``mzv``) are folded on the same loop.
+
 ``zeta_nonpositive`` memoizes its values in a process-wide ``functools.cache``
 (``cache_info()`` gives size and hits), keyed by k: the series windows ask for
 zeta(-(b + j)) at every slot power b and window index j, so the cache holds at
@@ -128,27 +134,43 @@ def poly_neg(a: tuple) -> tuple:
     return tuple(-c for c in a)
 
 
+def _over_common_denominator(a) -> tuple:
+    """(den, nums): the Fractions of a as integer numerators over their
+    least common denominator, FLINT's ``fmpq_poly`` layout."""
+    dens = [c.denominator for c in a]
+    den = math.lcm(*dens)
+    return den, [c.numerator * (den // d) for c, d in zip(a, dens)]
+
+
+def _convolve_integers(a, b, n: int) -> list:
+    """First n coefficients of the product of two integer lists.
+
+    The one integer multiply-add loop: the Fraction products below and the
+    integer windows of the regularized expansion (``mzv``) both run on it.
+    """
+    acc = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for k, y in enumerate(b[:n - i], i):
+                acc[k] += x * y
+    return acc
+
+
 def _convolve_fractions(a, b, n: int) -> list:
     """First n coefficients of the product of two Fraction tuples.
 
-    Each factor is scaled to one common denominator, the integer numerators
-    are convolved, and one ``Fraction`` is built per output coefficient, as
-    FLINT's ``fmpq_poly`` does (https://flintlib.org).  A ``Fraction`` is
-    stored reduced, so every coefficient, and so every printed byte, equals
-    the one the Fraction-by-Fraction sum gives.
+    Each factor is brought over one common denominator, the integer
+    numerators are convolved by ``_convolve_integers``, and one
+    ``Fraction`` is built per output coefficient, as FLINT's ``fmpq_poly``
+    does (https://flintlib.org).  A ``Fraction`` is stored reduced, so
+    every coefficient, and so every printed byte, equals the one the
+    Fraction-by-Fraction sum gives.
     """
-    a, b = a[:n], b[:n]
-    da = math.lcm(*(c.denominator for c in a))
-    db = math.lcm(*(c.denominator for c in b))
-    ia = [c.numerator * (da // c.denominator) for c in a]
-    ib = [c.numerator * (db // c.denominator) for c in b]
-    acc = [0] * n
-    for i, x in enumerate(ia):
-        if x:
-            for k, y in enumerate(ib[:n - i], i):
-                acc[k] += x * y
+    da, ia = _over_common_denominator(a[:n])
+    db, ib = _over_common_denominator(b[:n])
     d = da * db
-    return [Fraction(v, d) if v else _ZERO for v in acc]
+    return [Fraction(v, d) if v else _ZERO
+            for v in _convolve_integers(ia, ib, n)]
 
 
 def poly_mul(a: tuple, b: tuple) -> tuple:
@@ -166,8 +188,7 @@ def _integer_form(a: tuple) -> tuple:
     """(numerator, denominator, primitive) with a = numerator/denominator *
     primitive: one lcm of the denominators, one gcd content, and an integer
     list of content one.  a must be nonzero."""
-    den = math.lcm(*(c.denominator for c in a))
-    ints = [c.numerator * (den // c.denominator) for c in a]
+    den, ints = _over_common_denominator(a)
     content = math.gcd(*ints)
     return content, den, [x // content for x in ints]
 

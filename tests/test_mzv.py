@@ -6,10 +6,20 @@ from itertools import product
 
 import pytest
 
-from renzeta import arith
-from renzeta.arith import DELTA, PoleAtZero, zeta_nonpositive
+from renzeta import arith, mzv
+from renzeta.arith import (
+    DELTA,
+    DeltaRationalFunction,
+    PoleAtZero,
+    zeta_nonpositive,
+)
 from renzeta.hopf import HopfElement, Word, quasi_shuffle
-from renzeta.laurent import DELTA_FIELD, RATIONAL_FIELD, windows_agree
+from renzeta.laurent import (
+    DELTA_FIELD,
+    RATIONAL_FIELD,
+    series_from_terms,
+    windows_agree,
+)
 from renzeta.mzv import (
     argument_word,
     decomposition_session,
@@ -28,6 +38,50 @@ from renzeta.mzv import (
 
 F = Fraction
 W = Word.from_pairs
+
+
+def per_plan_sum(exponents, directions, precision):
+    """The regularized expansion plan by plan: each plan's product of
+    one-variable windows, the factor of slot power b requested at
+    precision + M - (b + 1), scaled by the plan's multiplicity."""
+    acc = None
+    for plan in expansion_plans(exponents, directions):
+        depth = sum(plan.slot_exponents) + len(plan.slot_exponents)
+        prod = None
+        for b, rho in zip(plan.slot_exponents, plan.cumulative_directions):
+            factor = one_var_series(b, rho, precision + depth - (b + 1))
+            prod = factor if prod is None else prod * factor
+        term = prod.scale(plan.multiplicity)
+        acc = term if acc is None else acc + term
+    return acc.truncated(precision)
+
+
+def fold_cases(words, directions):
+    """(exponents, directions, precision) per word, the precision cycling
+    through 1..8."""
+    return [(s, directions[:len(s)], 1 + i % 8)
+            for i, s in enumerate(words)]
+
+
+Q_DIRECTIONS = (F(1, 2), F(3), F(2, 3), F(5, 4))
+FOLD_CASES = {
+    # every word of depth 1-3 over -3..0, and depth 4 with every exponent
+    # in every slot
+    "Q": fold_cases(
+        [s for k in (1, 2, 3) for s in product(range(-3, 1), repeat=k)]
+        + list(product((-3, 0), (-2, -1), (0, -3), (-1, -2))),
+        Q_DIRECTIONS),
+    "Q(delta)": fold_cases(
+        [s for k in (1, 2) for s in product(range(-3, 1), repeat=k)]
+        + list(product((-2, 0), (-1, 0), (0, -1)))
+        + [(-3, 0, -1), (0, 0, 0, 0), (-1, 0, 0, -1)],
+        (1 + DELTA, 2 * DELTA, F(1, 3) + DELTA, DELTA)),
+    # a rational direction first: the whole argument is over Q(delta)
+    "mixed": fold_cases(
+        list(product(range(-3, 1), repeat=2))
+        + [(-1, 0, -2), (0, -3, 0), (0, -1, 0, -1)],
+        (F(1, 2), DELTA, F(2), F(1, 3))),
+}
 
 
 class TestArgumentValidation:
@@ -106,6 +160,47 @@ class TestOneVarSeries:
         s = one_var_series(0, 2, 25)
         direct = math.exp(2 * eps0) / (1 - math.exp(2 * eps0))
         assert s.evaluate_float(eps0) == pytest.approx(direct, rel=1e-12)
+
+
+def fresh_one_var(b, rho, precision, ring):
+    """The one-variable window straight from its formula."""
+    terms = {-(b + 1): (-1) ** (b + 1) * math.factorial(b) * rho ** -(b + 1)}
+    for j in range(precision):
+        terms[j] = zeta_nonpositive(b + j) * rho ** j / math.factorial(j)
+    return series_from_terms(ring, terms, precision)
+
+
+class TestOneVarMemo:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(mzv, "_one_var_windows", {})
+
+    @pytest.mark.parametrize("rho, ring", [
+        (F(2, 3), RATIONAL_FIELD), (1 + DELTA, DELTA_FIELD)])
+    def test_any_request_order_equals_fresh_windows(self, rho, ring):
+        # short then long extends the entry, long then short truncates it
+        for b in range(4):
+            for order in ((2, 9), (9, 2), (1, 5, 3, 8)):
+                mzv._one_var_windows.clear()
+                for n in order:
+                    assert one_var_series(b, rho, n) == \
+                        fresh_one_var(b, rho, n, ring), (b, order, n)
+                # one entry per (b, rho, ring), as long as the longest ask
+                (entry,) = mzv._one_var_windows.values()
+                assert len(entry[1]) == max(order)
+
+    def test_constant_delta_direction_gets_a_delta_window(self):
+        const = DeltaRationalFunction.from_rational(F(2))
+        assert const == F(2) and hash(const) == hash(F(2))
+        for first, second in ((F(2), const), (const, F(2))):
+            mzv._one_var_windows.clear()
+            one_var_series(1, first, 3)
+            for r, ring in ((F(2), RATIONAL_FIELD), (const, DELTA_FIELD)):
+                assert one_var_series(1, r, 5) == \
+                    fresh_one_var(1, r, 5, ring)
+            assert len(mzv._one_var_windows) == 2
+        assert regularized_expansion((0, -1), (F(1), const), 2).ring \
+            is DELTA_FIELD
 
 
 class TestExpansionPlans:
@@ -209,6 +304,13 @@ class TestRegularizedExpansion:
         for k in range(-2, 1):
             c = delta_s.coefficient(k)
             assert c.evaluate(0) == rational_s.coefficient(k)
+
+    @pytest.mark.parametrize("ring", sorted(FOLD_CASES))
+    def test_fold_equals_the_per_plan_sum(self, ring):
+        for s, r, precision in FOLD_CASES[ring]:
+            fold = regularized_expansion(s, r, precision)
+            assert fold == per_plan_sum(s, r, precision), (s, r, precision)
+            assert fold.precision == precision
 
     @pytest.mark.parametrize("s, r", [
         ((-1, 0), (F(1), F(2))),
