@@ -22,14 +22,26 @@ Directions live either in Q (strictly positive) or in Q(delta) restricted to
 delta-polynomials with nonnegative coefficients and not identically zero, so
 positivity for all small delta > 0 is decidable coefficientwise.
 
+Equal words are one object.  ``Word(...)`` checks its letters, and every
+word the layer builds itself (slices, concatenations, shuffle and derivation
+terms) skips the check; both return the canonical word of the letter tuple
+from the process-wide table ``_WORDS``, unbounded like the memo below; it
+holds 2821 words after the seed-0 benchmark ``verify`` pass.  A word hashes
+its letters once, at creation, and letters cache their hash too, since words
+key the memo below and the dicts downstream.  Letters with a constant
+delta-polynomial direction differ from letters with the equal rational
+direction, so the table and the memo keep the two coefficient rings apart.
+
 ``_shuffle_nonempty`` memoizes the product of two nonempty words in a
 process-wide, unbounded ``functools.cache`` (``cache_info()`` gives size and
-hits; the seed-0 benchmark ``verify`` pass ends with 2041 entries, 4890 of
-6931 lookups hits); ``_shuffle_words`` answers the empty-word cases without
-it.  Its dicts of immutable words and multiplicities are shared, so callers
-must not mutate them.  Threads may call it at once, at worst computing a
-value twice.
-Letters cache their hash, since they key this memo and those downstream.
+hits; the seed-0 ``verify`` pass ends with 2041 entries, 4890 of 6931
+lookups hits); ``_shuffle_words`` answers the empty-word cases without it.
+Its dicts of canonical words and integer multiplicities are shared, so
+callers must not mutate them.  Threads may call it at once, at worst
+computing a value twice or making two objects for one word, which stay
+equal.  Integral coefficients are summed and multiplied as ints inside the
+layer; ``HopfElement`` turns them back into Fractions, so every coefficient
+it holds is a Fraction or a delta-rational function.
 """
 
 from __future__ import annotations
@@ -88,7 +100,10 @@ class Letter:
             raise TypeError("exponent must be an integer")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "r", _check_direction(r))
-        object.__setattr__(self, "_hash", hash((s, self.r)))
+        # hash(-1) == hash(-2), so exponents enter as 2s + 1; the flag
+        # keeps a constant delta-polynomial apart from its rational
+        object.__setattr__(self, "_hash", hash(
+            (2 * s + 1, self.r, isinstance(self.r, Fraction))))
 
     def __setattr__(self, name, value):
         raise AttributeError("Letter is immutable")
@@ -101,7 +116,11 @@ class Letter:
     def __eq__(self, other):
         if not isinstance(other, Letter):
             return NotImplemented
-        return self.s == other.s and self.r == other.r
+        # a constant delta-polynomial equals its rational, but the two
+        # directions pick different coefficient rings, so their letters
+        # differ
+        return self.s == other.s and type(self.r) is type(other.r) \
+            and self.r == other.r
 
     def __hash__(self):
         return self._hash
@@ -117,16 +136,20 @@ class Letter:
 
 
 class Word:
-    """A finite tensor word; the empty word is the algebra unit."""
+    """A finite tensor word; the empty word is the algebra unit.
 
-    __slots__ = ("letters",)
+    Equal words are one object: the constructor checks the letters and
+    returns the canonical word of their tuple (module docstring).
+    """
 
-    def __init__(self, letters=()):
+    __slots__ = ("letters", "_hash")
+
+    def __new__(cls, letters=()):
         ls = tuple(letters)
         for l in ls:
             if not isinstance(l, Letter):
                 raise TypeError(f"not a letter: {l!r}")
-        object.__setattr__(self, "letters", ls)
+        return _word(ls)
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -143,13 +166,13 @@ class Word:
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Word(self.letters[index])
+            return _word(self.letters[index])
         return self.letters[index]
 
     def __add__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        return Word(self.letters + other.letters)
+        return _word(self.letters + other.letters)
 
     def __eq__(self, other):
         if not isinstance(other, Word):
@@ -157,7 +180,7 @@ class Word:
         return self.letters == other.letters
 
     def __hash__(self):
-        return hash(self.letters)
+        return self._hash
 
     def sort_key(self):
         return (len(self.letters), tuple(l.sort_key() for l in self.letters))
@@ -197,7 +220,22 @@ class Word:
         return cls(letters)
 
 
-EMPTY_WORD = Word(())
+_WORDS: dict = {}
+
+
+def _word(letters: tuple) -> Word:
+    """The canonical word of a tuple of letters, made on first request;
+    the letters are not checked."""
+    word = _WORDS.get(letters)
+    if word is None:
+        word = object.__new__(Word)
+        object.__setattr__(word, "letters", letters)
+        object.__setattr__(word, "_hash", hash(letters))
+        _WORDS[letters] = word
+    return word
+
+
+EMPTY_WORD = _word(())
 
 
 def _parse_direction(text: str):
@@ -219,8 +257,23 @@ def _collect(pairs) -> dict:
     """Sum (key, coefficient) pairs per key; drop the zero sums."""
     out = {}
     for key, c in pairs:
-        out[key] = out.get(key, 0) + c
+        prev = out.get(key)
+        out[key] = c if prev is None else prev + c
     return {key: c for key, c in out.items() if c != 0}
+
+
+def _integral(c):
+    """An integral Fraction as its int, so that multiplicities add and
+    multiply as ints; any other coefficient unchanged."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _coefficient(c):
+    """Inverse of _integral at the element boundary: ints become
+    Fractions."""
+    return Fraction(c) if isinstance(c, int) else c
 
 
 class HopfElement:
@@ -230,8 +283,7 @@ class HopfElement:
 
     def __init__(self, terms=None):
         object.__setattr__(self, "terms", {
-            w: Fraction(c) if isinstance(c, int) else c
-            for w, c in (terms or {}).items() if c != 0})
+            w: _coefficient(c) for w, c in (terms or {}).items() if c != 0})
 
     def __setattr__(self, name, value):
         raise AttributeError("HopfElement is immutable")
@@ -260,8 +312,10 @@ class HopfElement:
     def __add__(self, other):
         if not isinstance(other, HopfElement):
             return NotImplemented
-        pairs = [*self.terms.items(), *other.terms.items()]
-        return HopfElement(_collect(pairs))
+        return HopfElement(_collect(
+            (w, _integral(c))
+            for terms in (self.terms, other.terms)
+            for w, c in terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, HopfElement):
@@ -316,7 +370,7 @@ def _shuffle_words(u: Word, v: Word) -> dict:
 def _shuffle_nonempty(u: Word, v: Word) -> dict:
     u1, v1 = u.letters[0], v.letters[0]
     return _collect(
-        (Word((head,) + w.letters), m)
+        (_word((head,) + w.letters), m)
         for head, rest in ((u1, _shuffle_words(u[1:], v)),
                            (v1, _shuffle_words(u, v[1:])),
                            (u1 * v1, _shuffle_words(u[1:], v[1:])))
@@ -327,7 +381,7 @@ def quasi_shuffle(x: HopfElement, y: HopfElement) -> HopfElement:
     """Bilinear extension of the recursive interleave-or-merge product."""
     pairs = []
     for (wu, cu), (wv, cv) in product(x.terms.items(), y.terms.items()):
-        c = cu * cv
+        c = _integral(cu) * _integral(cv)
         pairs.extend((w, m * c) for w, m in _shuffle_words(wu, wv).items())
     return HopfElement(_collect(pairs))
 
@@ -393,26 +447,34 @@ def tensor_quasi_shuffle(t1: dict, t2: dict) -> dict:
     """Componentwise product on the tensor square, bilinear in both slots."""
     pairs = []
     for ((a1, a2), c), ((b1, b2), d) in product(t1.items(), t2.items()):
-        left = quasi_shuffle(
-            HopfElement.from_word(a1), HopfElement.from_word(b1))
-        right = quasi_shuffle(
-            HopfElement.from_word(a2), HopfElement.from_word(b2))
-        cd = c * d
-        pairs.extend(((w1, w2), cd * c1 * c2)
-                     for w1, c1 in left.terms.items()
-                     for w2, c2 in right.terms.items())
-    return _collect(pairs)
+        cd = _integral(c) * _integral(d)
+        right = _shuffle_words(a2, b2).items()
+        pairs.extend(((w1, w2), cd * (m1 * m2))
+                     for w1, m1 in _shuffle_words(a1, b1).items()
+                     for w2, m2 in right)
+    return {pair: _coefficient(c) for pair, c in _collect(pairs).items()}
 
 
 # ---------------------------------------------------------------------------
 # The derivation.
+
+@cache
+def _lowered(letter: Letter) -> tuple:
+    """(the letter with its exponent lowered by one, its direction as a
+    multiplicity); one lowered letter per letter keeps derived words'
+    letters shared."""
+    return Letter(letter.s - 1, letter.r), _integral(letter.r)
+
 
 def differentiate(x) -> HopfElement:
     """Lower one exponent per term: position i of w maps to r_i times the
     word with s_i replaced by s_i - 1."""
     if isinstance(x, Word):
         x = HopfElement.from_word(x)
-    return HopfElement(_collect(
-        (Word(w.letters[:i] + (Letter(l.s - 1, l.r),) + w.letters[i + 1:]),
-         c * l.r)
-        for w, c in x.terms.items() for i, l in enumerate(w)))
+    pairs = []
+    for w, c in x.terms.items():
+        c, ls = _integral(c), w.letters
+        for i, l in enumerate(ls):
+            low, weight = _lowered(l)
+            pairs.append((_word(ls[:i] + (low,) + ls[i + 1:]), c * weight))
+    return HopfElement(_collect(pairs))

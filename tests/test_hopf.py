@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from renzeta import hopf
 from renzeta.arith import DELTA, DeltaRationalFunction
 from renzeta.hopf import (
     EMPTY_WORD,
@@ -282,6 +283,172 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     def test_coproduct_counts_splits(self, w):
         assert len(coproduct(w)) == len(w) + 1
+
+
+class TestDirectionTypes:
+    """A constant delta-polynomial equals and hashes like its rational, but
+    the two directions select different coefficient rings."""
+
+    CONST = DELTA.from_rational(F(2))
+
+    def test_constant_delta_letter_differs_from_rational_letter(self):
+        assert self.CONST == F(2) and hash(self.CONST) == hash(F(2))
+        assert Letter(0, self.CONST) != Letter(0, F(2))
+        assert W([(0, self.CONST)]) != W([(0, F(2))])
+        assert Letter(0, self.CONST) == Letter(0, DELTA.from_rational(2))
+
+    @pytest.mark.parametrize("delta_first", [False, True])
+    def test_square_keeps_the_direction_type(self, delta_first):
+        hopf._shuffle_nonempty.cache_clear()
+        order = [F(2), self.CONST]
+        if delta_first:
+            order.reverse()
+        for r in order:
+            w = W([(0, r)])
+            square = HopfElement.from_word(w) * HopfElement.from_word(w)
+            assert square == HopfElement({w + w: 2, W([(0, r + r)]): 1})
+            for word in square.terms:
+                assert all(type(l.r) is type(r) for l in word), (r, word)
+
+    @pytest.mark.parametrize("delta_first", [False, True])
+    def test_slices_keep_the_direction_type(self, delta_first):
+        order = [F(2), self.CONST]
+        if delta_first:
+            order.reverse()
+        for r in order:
+            w = W([(0, r), (-1, r)])
+            for part in (w[:1], w[1:], w[:1] + w[1:]):
+                assert all(type(l.r) is type(r) for l in part), (r, part)
+
+
+class TestWordIdentity:
+    TARGET = [(0, 1), (-1, 2)]
+
+    def routes(self):
+        w = W(self.TARGET + [(-2, 1)])
+        shuffled = quasi_shuffle(elem([(0, 1)]), elem([(-1, 2)]))
+        derived = differentiate(W([(0, 1), (0, 2)]))
+        return {
+            "Word": Word([Letter(0, 1), Letter(-1, 2)]),
+            "parse": Word.parse("(0,1)(-1,2)"),
+            "from_pairs": Word.from_pairs(self.TARGET),
+            "slice": w[:2],
+            "concatenation": W([(0, 1)]) + W([(-1, 2)]),
+            "shuffle term": next(t for t in shuffled.terms
+                                 if t == W(self.TARGET)),
+            "derivation term": next(t for t in derived.terms
+                                    if t == W(self.TARGET)),
+        }
+
+    def test_every_route_gives_an_equal_interchangeable_key(self):
+        routes = self.routes()
+        for name, word in routes.items():
+            keyed = {word: name}
+            for other in routes.values():
+                assert other == word and hash(other) == hash(word)
+                assert keyed[other] == name
+        assert len(set(routes.values())) == 1
+
+    def test_equal_words_are_one_object(self):
+        first, *rest = self.routes().values()
+        assert all(word is first for word in rest)
+        w = W([(0, 1), (-1, 2)])
+        assert w[:0] is EMPTY_WORD and w[:1] + w[1:] is w
+
+    def test_words_are_checked_and_immutable(self):
+        with pytest.raises(TypeError):
+            Word([Letter(0, 1), (0, 1)])
+        with pytest.raises(TypeError):
+            Word.from_pairs([(F(1, 2), 1)])
+        w = W(self.TARGET)
+        with pytest.raises(AttributeError):
+            w.letters = ()
+        with pytest.raises(AttributeError):
+            w.extra = 1
+        assert w == W(self.TARGET)
+
+
+HALF = (0, F(1, 2))
+DELTA_LETTER = (-1, DELTA)
+
+
+def _coefficient_ok(c, delta_words):
+    if delta_words:
+        return type(c) in (Fraction, DeltaRationalFunction)
+    return type(c) is Fraction
+
+
+def _old_tensor_quasi_shuffle(t1, t2):
+    """The tensor product as first written: one quasi_shuffle of elements
+    per slot and per pair of splits."""
+    out = {}
+    for ((a1, a2), c), ((b1, b2), d) in iproduct(t1.items(), t2.items()):
+        left = quasi_shuffle(
+            HopfElement.from_word(a1), HopfElement.from_word(b1))
+        right = quasi_shuffle(
+            HopfElement.from_word(a2), HopfElement.from_word(b2))
+        for w1, c1 in left.terms.items():
+            for w2, c2 in right.terms.items():
+                out[w1, w2] = out.get((w1, w2), 0) + c * d * c1 * c2
+    return {k: v for k, v in out.items() if v != 0}
+
+
+class TestCoefficientTypes:
+    """Multiplicities are summed as ints inside the layer; what leaves it
+    is a Fraction, or a delta function for delta-direction letters."""
+
+    def elements(self):
+        x = HopfElement({W([(0, 1)]): 1, W([HALF]): F(1, 2),
+                         W([(-1, 2), (0, 1)]): F(3)})
+        y = HopfElement({W([(0, 1)]): F(1, 2), W([(0, 1), HALF]): 2})
+        z = HopfElement({W([DELTA_LETTER, (0, 1)]): 1,
+                         W([(0, 1)]): F(1, 2)})
+        return [(x, False), (y, False), (z, True)]
+
+    def test_element_operations(self):
+        for x, dx in self.elements():
+            for y, dy in self.elements():
+                delta = dx or dy
+                outputs = [quasi_shuffle(x, y), x + y, x - y, x * y]
+                for out in outputs:
+                    assert all(_coefficient_ok(c, delta)
+                               for c in out.terms.values()), out
+            for out in (differentiate(x), x.scale(2), x.scale(F(1, 2)),
+                        2 * x):
+                assert all(_coefficient_ok(c, dx)
+                           for c in out.terms.values()), out
+            assert all(_coefficient_ok(c, dx)
+                       for c in element_coproduct(x).values())
+
+    def test_integral_sums_stay_exact(self):
+        x = HopfElement({W([HALF]): F(1, 2)})
+        total = x + x
+        assert total.terms == {W([HALF]): F(1)}
+        assert type(total.terms[W([HALF])]) is Fraction
+        assert (x - x).is_zero()
+        assert differentiate(W([HALF])).terms == {
+            W([(-1, F(1, 2))]): F(1, 2)}
+
+    def test_tensor_product_matches_its_old_definition(self):
+        alphabet = [(0, F(1)), (-1, F(2)), (-2, F(1)), HALF, DELTA_LETTER]
+        words = [w for w in words_up_to(3, alphabet) if len(w) > 0]
+        checked = 0
+        for u in words:
+            for v in words:
+                if len(u) + len(v) > 4:
+                    continue
+                delta = any(isinstance(l.r, DeltaRationalFunction)
+                            for l in u + v)
+                # every other pair scales u by 1/2, the rest stay integral
+                half = F(1, 2) if checked % 2 else 1
+                t1 = element_coproduct(HopfElement.from_word(u, half))
+                t2 = element_coproduct(HopfElement.from_word(v))
+                got = tensor_quasi_shuffle(t1, t2)
+                assert got == _old_tensor_quasi_shuffle(t1, t2), (u, v)
+                assert all(_coefficient_ok(c, delta)
+                           for c in got.values()), (u, v)
+                checked += 1
+        assert checked == 2150
 
 
 class TestSerialization:

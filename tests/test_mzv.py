@@ -354,6 +354,27 @@ class TestRenormalizedValues:
         v3 = renorm_directional((0, 0, 0), (DELTA, DELTA, DELTA))
         assert v3.limit_at_zero() == renorm_mzv((0, 0, 0))
 
+    def test_all_zero_words_follow_the_inverse_square_root(self):
+        """renorm_mzv((0,)*k) is the coefficient of x^k in (1+x)^(-1/2),
+        (-1)^k C(2k, k) / 4^k.
+
+        Derivation: the k zeros get the equal directions delta, so the
+        word is z_1^k with z_m = (0, m*delta), and merging n copies of z_1
+        gives z_n.  In the quasi-shuffle algebra Newton's identity between
+        elementary and power sums reads (Hoffman, J. Algebraic Combin. 11,
+        2000)
+
+            sum_k z_1^k x^k = exp(sum_n (-1)^(n-1) z_n x^n / n).
+
+        The renormalized part of the Birkhoff decomposition is a character,
+        so at eps = 0 it maps both sides alike; depth-one values do not
+        depend on the direction, so every z_n maps to zeta(0) = -1/2, and
+        the right side becomes exp(-log(1+x)/2) = (1+x)^(-1/2).
+        """
+        for k in range(1, 7):
+            want = F((-1) ** k * math.comb(2 * k, k), 4 ** k)
+            assert renorm_mzv((0,) * k) == want, k
+
     def test_zero_free_words_equal_the_delta_limit(self):
         # zero-free words are computed at the rational directions |s|; the
         # Q(delta) limit is the independent route, over every zero-free
