@@ -392,6 +392,9 @@ class DeltaRationalFunction:
     def __setattr__(self, name, value):
         raise AttributeError("DeltaRationalFunction is immutable")
 
+    def __reduce__(self):
+        return DeltaRationalFunction, (self.num, self.den)
+
     @classmethod
     def from_rational(cls, value) -> "DeltaRationalFunction":
         return cls((Fraction(value),))

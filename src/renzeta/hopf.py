@@ -108,6 +108,9 @@ class Letter:
     def __setattr__(self, name, value):
         raise AttributeError("Letter is immutable")
 
+    def __reduce__(self):
+        return Letter, (self.s, self.r)
+
     def __mul__(self, other: "Letter") -> "Letter":
         if not isinstance(other, Letter):
             return NotImplemented
@@ -153,6 +156,10 @@ class Word:
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
+
+    def __reduce__(self):
+        # copies and pickles come back as the canonical word
+        return Word, (self.letters,)
 
     @classmethod
     def from_pairs(cls, pairs) -> "Word":
@@ -287,6 +294,9 @@ class HopfElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("HopfElement is immutable")
+
+    def __reduce__(self):
+        return HopfElement, (self.terms,)
 
     @classmethod
     def zero(cls) -> "HopfElement":

@@ -79,7 +79,14 @@ class InsufficientPrecision(PrecisionError):
 # of two coefficient tuples.
 
 class _Ring:
-    """Hooks shared by the rings; see the module docstring."""
+    """Hooks shared by the rings; see the module docstring.
+
+    Each ring is one module singleton, named by ``_singleton``: series check
+    their partner's ring by identity, so copies and pickles return it.
+    """
+
+    def __reduce__(self):
+        return self._singleton
 
     def convolve(self, a, b, n):
         """Schoolbook product, one ring multiply-add per coefficient pair."""
@@ -105,6 +112,7 @@ class _Ring:
 
 
 class RationalField(_Ring):
+    _singleton = "RATIONAL_FIELD"
     name = "Q"
     zero = Fraction(0)
     one = Fraction(1)
@@ -129,6 +137,7 @@ class RationalField(_Ring):
 
 class DeltaFunctionField(_Ring):
     element = DeltaRationalFunction
+    _singleton = "DELTA_FIELD"
     name = "Q(delta)"
     zero = DeltaRationalFunction(())
     one = DeltaRationalFunction((Fraction(1),))
@@ -147,6 +156,9 @@ class TPolynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("TPolynomial is immutable")
+
+    def __reduce__(self):
+        return TPolynomial, (self.coeffs,)
 
     @staticmethod
     def _coerce(value):
@@ -214,6 +226,7 @@ class TPolynomial:
 
 class TPolynomialRing(_Ring):
     element = TPolynomial
+    _singleton = "T_POLY_RING"
     name = "Q[T]"
     zero = TPolynomial(())
     one = TPolynomial((Fraction(1),))
@@ -262,6 +275,9 @@ class TruncatedLaurentSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedLaurentSeries is immutable")
+
+    def __reduce__(self):
+        return TruncatedLaurentSeries, (self.ring, self.min_order, self.coeffs)
 
     @property
     def precision(self) -> int:

@@ -3,42 +3,45 @@ exact Laurent windows, and the renormalized values extracted from them.
 
 The object is the sum over n_1 > ... > n_k > 0 of prod_i n_i^(m_i)
 exp(n_i r_i eps), with m_i = -s_i >= 0 and positive directions r_i.  The
-substitution n_i = j_i + ... + j_k (all j >= 1) factorizes the exponential
-through cumulative directions rho_l = r_1 + ... + r_l, and multiplying
-out prod_i (j_i + ... + j_k)^(m_i) turns the whole sum into a finite
-combination of products of one-variable series, one product per
-slot-exponent vector, weighted by that monomial's coefficient
+substitution n_i = S_i = j_i + ... + j_k (all j >= 1) factorizes the
+exponential through cumulative directions rho_l = r_1 + ... + r_l
+(Guo-Zhang, arXiv:0710.0432), so the sum is built from one-variable series
 
-    sum_{j >= 1} j^b exp(j rho eps)
+    W(b, rho) = sum_{j >= 1} j^b exp(j rho eps)
         = (-1)^(b+1) b! (rho eps)^(-b-1) + sum_{j >= 0} zeta(-b-j)
           (rho eps)^j / j!
 
-Every product in the expansion of one argument has the same pole depth
-M = sum_i (m_i + 1).  The sum over plans is folded over the trie of their
-slot-exponent prefixes, from the last slot inward (the multivariate Horner
-scheme, Pena-Sauer, SIAM J. Numer. Anal. 2000): for a prefix p of length l,
+Let F(l, e) be the sum over j_l, ..., j_k of S_l^e prod_{i>l} S_i^(m_i)
+prod_{i>=l} exp(j_i rho_i eps).  Since S_l = j_l + S_(l+1), the binomial
+theorem gives, slot by slot,
 
-    T(p) = sum_b W(b, rho_(l+1)) T(p + b),
+    F(l, e) = sum_{a=0}^{e} C(e, a) W(a, rho_l) F(l + 1, e - a + m_(l+1)),
+    F(k, e) = W(e, rho_k),
 
-with W(b, rho) the one-variable window above.  The slot exponents resum to
-sum_i m_i, so a prefix of length k - 1 fixes the last one: the leaves are
-a plan's multiplicity times one window, the root T(()) is the expansion,
-and there is one product per trie edge instead of k - 1 per plan.
+and the sum is F(1, m_1).  The carried exponent e of slot l runs over
+[m_l, m_1 + ... + m_l], so the recursion runs from the last slot inward
+with one value per carried exponent, and an expansion takes
 
-No precision is lost.  Every factor window W(b, rho) is requested with
-length target + M, so it is exact on [-(b+1), target + M - (b+1)).  Let
-R(p), the pole depth left below p, be the sum of b + 1 over the slots after
-p.  A product of two windows of one length keeps that length, and every
-term of T(p) starts at -R(p), so T(p) is exact on
-[-R(p), target + M - R(p)); the root, with R = M, lands on [-M, target).
+    sum_{l=1}^{k-1} sum_{e=m_l}^{m_1+...+m_l} (e + 1)
 
-Over Q the fold runs on integer windows: numerators over one shared
+window products: 15 for (-2,-2,-2), 40 for (-2)^4, 75 for (-3)^4.
+
+No precision is lost.  Let M = sum_i (m_i + 1) be the pole depth.  Every
+factor window W(a, rho) is requested with length precision + M, so it is
+exact on [-(a+1), precision + M - (a+1)).  A product of two windows of one
+length keeps that length, and every term of F(l, e) starts at -R(l, e),
+with R(l, e) = e + 1 + sum_{i>l} (m_i + 1); so F(l, e) is exact on
+[-R(l, e), precision + M - R(l, e)), and the root, with R(1, m_1) = M,
+lands on [-M, precision).  The recursion needs only window products, sums
+and integer scaling.
+
+Over Q the recursion runs on integer windows: numerators over one shared
 denominator, the layout of FLINT's ``fmpq_poly``.  A product convolves the
 numerators on the integer loop of ``arith`` and multiplies denominators, a
 sum brings two windows to their least common denominator through one gcd,
-a multiplicity scales the numerators only, and one ``Fraction`` per
-coefficient is built at the root.  Over Q(delta) the same fold runs on
-series windows.
+a binomial coefficient scales the numerators only, and one ``Fraction``
+per coefficient is built at the root.  Over Q(delta) the same recursion
+runs on series windows.
 
 One-variable windows come from one process-wide memo keyed by
 (b, rho, ring).  An entry holds the pole coefficient, the Taylor
@@ -48,10 +51,7 @@ Taylor coefficient depends only on its own index.  The memo holds one entry
 per (b, rho, ring) ever asked for, as long as the longest request, and
 grows with the distinct directions of the process.  Entries are replaced
 whole, never changed in place, so concurrent callers at worst build a
-window twice.  After one pass of each benchmark workload at seed 0 it holds
-325 entries with 5754 Taylor coefficients (rational-directions), 57 with
-807 (verify) and 70 with 800 (auto-delta); the precision-keyed cache it
-replaced built 19747, 4139 and 1695 there.
+window twice.
 
 Renormalized values: the decomposition engine splits the regularized window,
 and the constant term of its pole-free part at a given direction vector is
@@ -164,17 +164,28 @@ def _compositions(total: int, slots: int):
             yield (first,) + rest
 
 
+def _cumulative(exponents, directions):
+    """The m_i = -s_i of a validated argument and its cumulative directions
+    in the argument's ring: Q(delta) once any direction is, so a rational
+    prefix still gets Q(delta) windows."""
+    word = argument_word(exponents, directions)
+    ring = _ring_for(tuple(l.r for l in word))
+    return (tuple(-l.s for l in word),
+            tuple(accumulate(ring.coerce(l.r) for l in word)))
+
+
 def expansion_plans(exponents, directions):
     """Yield one plan per monomial of prod_i (j_i + ... + j_k)^(m_i), its
-    cumulative directions in the argument's ring: Q(delta) once any
-    direction is, so a rational prefix still gets Q(delta) windows."""
-    word = argument_word(exponents, directions)
-    k = len(word)
-    ring = _ring_for(tuple(l.r for l in word))
-    rho = tuple(accumulate(ring.coerce(l.r) for l in word))
+    cumulative directions in the argument's ring.
+
+    This is the public monomial enumeration and the oracle the tests sum
+    plan by plan; regularized_expansion no longer uses it.
+    """
+    ms, rho = _cumulative(exponents, directions)
+    k = len(ms)
     poly = {(0,) * k: 1}
-    for i, letter in enumerate(word):
-        for _ in range(-letter.s):
+    for i, m in enumerate(ms):
+        for _ in range(m):
             grown = {}
             for slots, c in poly.items():
                 for l in range(i, k):
@@ -234,8 +245,8 @@ class _QWindow:
     """A Q window as integer numerators over one shared denominator:
     nums[i] / den at eps^(min_order + i), exact on the whole stored range.
 
-    Only the fold builds these, and it adds windows on equal exponent
-    ranges only (module docstring).
+    Only the regularized expansion builds these, and it adds windows on
+    equal exponent ranges only (module docstring).
     """
 
     __slots__ = ("min_order", "nums", "den")
@@ -278,41 +289,42 @@ def regularized_expansion(exponents, directions,
                           precision: int) -> TruncatedLaurentSeries:
     """Exact window of the regularized nested sum, O(eps^precision) tail.
 
-    One fold over the plan trie, from the last slot inward (module
+    The binomial recursion F(l, e) from the last slot inward (module
     docstring): every factor window has length precision + M, so the root
-    lands exactly on [-M, precision).  The ring picks the window type:
-    integer windows over Q, series windows over Q(delta).
+    F(1, m_1) lands exactly on [-M, precision).  The ring picks the window
+    type: integer windows over Q, series windows over Q(delta).
     """
     if precision < 1:
         raise ValueError("window must reach past eps^0")
-    plans = list(expansion_plans(exponents, directions))
-    rho = plans[0].cumulative_directions
-    k = len(rho)
-    length = precision + sum(plans[0].slot_exponents) + k
+    ms, rho = _cumulative(exponents, directions)
+    k = len(ms)
+    length = precision + sum(ms) + k
+    tops = tuple(accumulate(ms))
     windows = {}
 
-    def window(slot, b):
-        w = windows.get((slot, b))
+    def window(slot, a):
+        w = windows.get((slot, a))
         if w is None:
-            w = one_var_series(b, rho[slot], length - (b + 1))
+            w = one_var_series(a, rho[slot], length - (a + 1))
             if w.ring is RATIONAL_FIELD:
                 w = _QWindow.of(w)
-            windows[slot, b] = w
+            windows[slot, a] = w
         return w
 
-    # level maps each prefix of length slot + 1 to T(prefix); the leaves
-    # are the prefixes of length k - 1, which fix the last slot exponent
-    level = {p.slot_exponents[:-1]:
-             window(k - 1, p.slot_exponents[-1]).scale(p.multiplicity)
-             for p in plans}
+    # level maps each carried exponent e of the current slot to F(slot, e)
+    level = {e: window(k - 1, e) for e in range(ms[-1], tops[-1] + 1)}
     for slot in range(k - 2, -1, -1):
-        folded = {}
-        for prefix, t in level.items():
-            term = window(slot, prefix[-1]) * t
-            head = prefix[:-1]
-            folded[head] = folded[head] + term if head in folded else term
-        level = folded
-    root = level[()]
+        inner, level = level, {}
+        for e in range(ms[slot], tops[slot] + 1):
+            acc = None
+            for a in range(e + 1):
+                term = window(slot, a) * inner[e - a + ms[slot + 1]]
+                c = math.comb(e, a)
+                if c != 1:
+                    term = term.scale(c)
+                acc = term if acc is None else acc + term
+            level[e] = acc
+    root = level[ms[0]]
     return root.series() if isinstance(root, _QWindow) else root
 
 

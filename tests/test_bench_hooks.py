@@ -32,17 +32,17 @@ def test_traced_pass_reaches_every_layer():
     assert ready["ready"]
     assert [item[1] for item in reply["items"]] == [0, 0], reply["items"]
     counters = reply["trace"]["counters"]
-    for key in ("mzv.plans", "mzv.one_var_calls", "laurent.mul_q_calls",
+    for key in ("mzv.one_var_calls", "laurent.mul_q_calls",
                 "laurent.mul_qdelta_calls", "birkhoff.sessions"):
         assert counters[key] > 0, key
-    # one plan per slot-exponent vector
-    assert counters["mzv.plans"] == counters["mzv.plan_slot_vectors"]
+    # the expansion recurses over carried exponents and enumerates no plans
+    assert counters["mzv.plans"] == counters["mzv.plan_slot_vectors"] == 0
     # the tracer splits TruncatedLaurentSeries.__mul__ by ring and counts
     # multiply-adds from its coefficient tuples; these exact figures break
     # if the product leaves __mul__ or its coefficients leave the rings.
-    # The regularized expansion folds its plan trie over integer windows on
-    # the Q path, so only the decomposition's own Q products and sums are
-    # series operations; the Q(delta) fold still multiplies series
+    # The regularized expansion recurses over integer windows on the Q
+    # path, so only the decomposition's own Q products and sums are series
+    # operations; the Q(delta) recursion still multiplies series
     assert {key: counters[key] for key in (
         "laurent.mul_q_calls", "laurent.mul_q_coeff_ops",
         "laurent.mul_qdelta_calls", "laurent.mul_qdelta_coeff_ops",
@@ -55,19 +55,19 @@ def test_traced_pass_reaches_every_layer():
     # against a constant, and cancelling across before multiplying takes
     # gcds of the operands, not a full reduction of each product.  The
     # one-variable memo builds each Q(delta) window once per (b, rho) and
-    # skips the zeta values that vanish, so fewer operators run
+    # skips the zeta values that vanish, and the expansion scales a product
+    # only by a binomial coefficient other than 1, so fewer operators run
     assert {key: counters[key] for key in (
         "arith.qdelta_ops", "arith.poly_gcd_calls",
         "arith.value_max_bits")} == {
-        "arith.qdelta_ops": 218, "arith.poly_gcd_calls": 39,
+        "arith.qdelta_ops": 193, "arith.poly_gcd_calls": 39,
         "arith.value_max_bits": 18}
-    # the mzv work: expansions, their plans and one-variable windows, and
-    # the words the sessions decompose; the fold fetches each window once
-    # per (slot, b) of an expansion, and here every fetch has its own
+    # the mzv work: expansions, their one-variable windows, and the words
+    # the sessions decompose; the recursion fetches each window once per
+    # (slot, power) of an expansion, and here every fetch has its own
     # (power, direction, precision)
     assert {key: counters[key] for key in (
         "mzv.expansion_calls", "mzv.one_var_calls", "mzv.one_var_distinct",
-        "mzv.plans", "birkhoff.words_decomposed")} == {
+        "birkhoff.words_decomposed")} == {
         "mzv.expansion_calls": 9, "mzv.one_var_calls": 25,
-        "mzv.one_var_distinct": 25, "mzv.plans": 16,
-        "birkhoff.words_decomposed": 5}
+        "mzv.one_var_distinct": 25, "birkhoff.words_decomposed": 5}

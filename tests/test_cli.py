@@ -166,13 +166,13 @@ def test_series_precision_from_environment(capsys, monkeypatch):
 def test_series_expands_the_full_word_once(capsys, monkeypatch):
     # both windows come from one decomposition session
     seen = []
-    plans = mzv.expansion_plans
+    expand = mzv.regularized_expansion
 
-    def spy(exponents, directions):
+    def spy(exponents, directions, precision):
         seen.append(tuple(exponents))
-        return plans(exponents, directions)
+        return expand(exponents, directions, precision)
 
-    monkeypatch.setattr(mzv, "expansion_plans", spy)
+    monkeypatch.setattr(mzv, "regularized_expansion", spy)
     rc, _, _ = run(capsys, ["series", "--s", "0,-1", "--r", "1,2"])
     assert rc == 0
     assert seen.count((0, -1)) == 1

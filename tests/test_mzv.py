@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 
@@ -17,6 +17,7 @@ from renzeta.hopf import HopfElement, Word, quasi_shuffle
 from renzeta.laurent import (
     DELTA_FIELD,
     RATIONAL_FIELD,
+    TruncatedLaurentSeries,
     series_from_terms,
     windows_agree,
 )
@@ -63,24 +64,27 @@ def fold_cases(words, directions):
             for i, s in enumerate(words)]
 
 
-Q_DIRECTIONS = (F(1, 2), F(3), F(2, 3), F(5, 4))
+Q_DIRECTIONS = (F(1, 2), F(3), F(2, 3), F(5, 4), F(7, 3))
 FOLD_CASES = {
-    # every word of depth 1-3 over -3..0, and depth 4 with every exponent
-    # in every slot
+    # every word of depth 1-3 over -3..0, depth 4 with every exponent in
+    # every slot, and depth 5
     "Q": fold_cases(
         [s for k in (1, 2, 3) for s in product(range(-3, 1), repeat=k)]
-        + list(product((-3, 0), (-2, -1), (0, -3), (-1, -2))),
+        + list(product((-3, 0), (-2, -1), (0, -3), (-1, -2)))
+        + [(-1,) * 5, (-2, 0, -1, 0, -2), (-2,) * 5],
         Q_DIRECTIONS),
+    # the costlier depth-5 word comes last, at precision 1
     "Q(delta)": fold_cases(
         [s for k in (1, 2) for s in product(range(-3, 1), repeat=k)]
         + list(product((-2, 0), (-1, 0), (0, -1)))
-        + [(-3, 0, -1), (0, 0, 0, 0), (-1, 0, 0, -1)],
-        (1 + DELTA, 2 * DELTA, F(1, 3) + DELTA, DELTA)),
+        + [(-3, 0, -1), (0, 0, 0, 0), (-1, 0, 0, -1)]
+        + [(0,) * 5, (-1, 0, -1, 0, -1)],
+        (1 + DELTA, 2 * DELTA, F(1, 3) + DELTA, DELTA, 3 + DELTA)),
     # a rational direction first: the whole argument is over Q(delta)
     "mixed": fold_cases(
         list(product(range(-3, 1), repeat=2))
-        + [(-1, 0, -2), (0, -3, 0), (0, -1, 0, -1)],
-        (F(1, 2), DELTA, F(2), F(1, 3))),
+        + [(-1, 0, -2), (0, -3, 0), (0, -1, 0, -1), (0, -1, 0, -1, 0)],
+        (F(1, 2), DELTA, F(2), F(1, 3), F(3, 2) + DELTA)),
 }
 
 
@@ -311,6 +315,34 @@ class TestRegularizedExpansion:
             fold = regularized_expansion(s, r, precision)
             assert fold == per_plan_sum(s, r, precision), (s, r, precision)
             assert fold.precision == precision
+
+    @pytest.mark.parametrize("s, r, products", [
+        ((-2,) * 3, Q_DIRECTIONS[:3], 15),
+        ((-3,) * 3, Q_DIRECTIONS[:3], 26),
+        ((-2,) * 4, Q_DIRECTIONS[:4], 40),
+        ((-1,) * 5, Q_DIRECTIONS, 30),
+        ((-3,) * 4, Q_DIRECTIONS[:4], 75),
+        ((-2, 0, -1, 0), (1 + DELTA, 2 * DELTA, F(1, 3) + DELTA, DELTA), 18),
+    ])
+    def test_product_count(self, s, r, products, monkeypatch):
+        # sum over the slots l < k of e + 1 products per carried exponent
+        # m_l <= e <= m_1 + ... + m_l
+        ms = [-x for x in s]
+        tops = list(accumulate(ms))
+        assert products == sum(e + 1 for l in range(len(ms) - 1)
+                               for e in range(ms[l], tops[l] + 1))
+        rational = all(isinstance(x, Fraction) for x in r)
+        cls = mzv._QWindow if rational else TruncatedLaurentSeries
+        count = []
+        mul = cls.__mul__
+
+        def counted(a, b):
+            count.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(cls, "__mul__", counted)
+        regularized_expansion(s, r, 3)
+        assert len(count) == products
 
     @pytest.mark.parametrize("s, r", [
         ((-1, 0), (F(1), F(2))),
