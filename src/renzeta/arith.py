@@ -36,8 +36,10 @@ denominator is monic.  Every polynomial gcd goes through ``poly_gcd``.
 Products of Fraction sequences, the Q series windows and the Q(delta) and
 Q[T] polynomials alike, bring each factor over one common denominator and
 convolve the integer numerators in ``_convolve_integers``, the package's one
-integer multiply-add loop; the integer windows of the regularized expansion
-(``mzv``) are folded on the same loop.
+integer multiply-add loop.  The integer windows of the regularized
+expansion (``mzv``) run on the same loop: over Q it convolves their
+numerator sequences, over Q(delta) it multiplies their delta-polynomial
+numerators pairwise and lifts them by powers of their factors.
 
 ``zeta_nonpositive`` memoizes its values in a process-wide ``functools.cache``
 (``cache_info()`` gives size and hits), keyed by k: the series windows ask for

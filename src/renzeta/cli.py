@@ -12,6 +12,7 @@ import json
 import os
 import re
 import sys
+from functools import cache
 from itertools import product as iproduct
 
 from renzeta.arith import DeltaRationalFunction, PoleAtZero
@@ -255,10 +256,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it unchanged, and
+    building it costs more than a parse."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -40,8 +40,30 @@ denominator, the layout of FLINT's ``fmpq_poly``.  A product convolves the
 numerators on the integer loop of ``arith`` and multiplies denominators, a
 sum brings two windows to their least common denominator through one gcd,
 a binomial coefficient scales the numerators only, and one ``Fraction``
-per coefficient is built at the root.  Over Q(delta) the same recursion
-runs on series windows.
+per coefficient is built at the root.
+
+Over Q(delta) the recursion runs on integer windows too.
+``hopf._check_direction`` admits only delta-polynomial directions, so every
+cumulative direction rho_l is a polynomial: the pole coefficient of
+W(a, rho_l) is a constant over rho_l^(a+1) and its Taylor coefficients are
+polynomials.  Products and sums of such windows only multiply these
+denominators together, so every denominator of every F(l, e) is an integer
+times a product of powers of the rho_l.  A window therefore holds one
+integer delta-polynomial numerator per eps-coefficient over one shared
+integer denominator and one shared polynomial denominator, kept factored as
+{primitive rho_l: exponent}; rho_l that agree up to a constant (1 + d and
+2 + 2d) share a factor.  A product convolves the numerator polynomials on
+the integer loop of ``arith``, multiplies the integer denominators and adds
+the exponents.  A sum lifts both windows to the larger exponent of each
+factor, with the powers of a factor memoized for one expansion, and
+combines the integer denominators through one gcd, as over Q.  Nothing is
+reduced on the way; at the root every coefficient goes through the reducing
+constructor ``DeltaRationalFunction(num, den)``, so it lands in the same
+canonical form (coprime pair, monic denominator) the field operators
+give.  That form is what ``limit_at_zero`` reads, so a denominator that
+still vanishes at delta = 0 is a genuine pole and raises PoleAtZero exactly
+where it did before, never a removable 0/0 left over from factors kept
+apart (d and d + d^2 share d and are two factors).
 
 One-variable windows come from one process-wide memo keyed by
 (b, rho, ring).  An entry holds the pole coefficient, the Taylor
@@ -75,13 +97,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 
 from renzeta.arith import (
     DELTA,
     DeltaRationalFunction,
     _convolve_integers,
+    _exact_quotient,
+    _integer_form,
     _over_common_denominator,
+    poly_add,
     zeta_nonpositive,
 )
 from renzeta.birkhoff import (
@@ -170,8 +195,15 @@ def _cumulative(exponents, directions):
     prefix still gets Q(delta) windows."""
     word = argument_word(exponents, directions)
     ring = _ring_for(tuple(l.r for l in word))
-    return (tuple(-l.s for l in word),
-            tuple(accumulate(ring.coerce(l.r) for l in word)))
+    rs = (ring.coerce(l.r) for l in word)
+    if ring is DELTA_FIELD:
+        # delta-polynomial directions (hopf._check_direction) add as
+        # polynomials, with no field operation
+        rs = (DeltaRationalFunction(n) for n in accumulate(
+            (r.num for r in rs), poly_add))
+    else:
+        rs = accumulate(rs)
+    return tuple(-l.s for l in word), tuple(rs)
 
 
 def expansion_plans(exponents, directions):
@@ -285,6 +317,120 @@ class _QWindow:
             [Fraction(v, d) for v in self.nums])
 
 
+def _poly_times(a, b) -> list:
+    """Product of two integer polynomials, ascending lists without a
+    trailing zero; the zero polynomial is []."""
+    if not a or not b:
+        return []
+    return _convolve_integers(a, b, len(a) + len(b) - 1)
+
+
+def _row_sum(x, a, y, b) -> list:
+    """a*x + b*y for integer polynomials x and y."""
+    row = [u * a + v * b for u, v in zip_longest(x, y, fillvalue=0)]
+    while row and row[-1] == 0:
+        row.pop()
+    return row
+
+
+def _power(powers, p, k) -> list:
+    """p^k for a primitive factor p, from the expansion's memo."""
+    out = powers.get((p, k))
+    if out is None:
+        out = [1] if k == 0 else _poly_times(_power(powers, p, k - 1), p)
+        powers[p, k] = out
+    return out
+
+
+class _DeltaWindow:
+    """A Q(delta) window as integer delta-polynomials over one shared
+    denominator: nums[i] / (den * prod_p p^factors[p]) at
+    eps^(min_order + i), each p a primitive integer polynomial kept as a
+    tuple (module docstring).  powers is the memo of factor powers of one
+    expansion.
+
+    The sibling of _QWindow, with its interface and its range discipline.
+    """
+
+    __slots__ = ("min_order", "nums", "den", "factors", "powers")
+
+    def __init__(self, min_order, nums, den, factors, powers):
+        self.min_order = min_order
+        self.nums = nums
+        self.den = den
+        self.factors = factors
+        self.powers = powers
+
+    @classmethod
+    def of(cls, series, rho, powers):
+        """The layout of a window of rho's one-variable series, whose
+        coefficient denominators divide rho^(-min_order)."""
+        # a constant rho has the primitive part (1,) and no factor
+        p = tuple(_integer_form(rho.num)[2])
+        factors = {p: -series.min_order} if len(p) > 1 else {}
+        top = tuple(_power(powers, p, -series.min_order))
+        den, flat = _over_common_denominator(
+            [c for x in series.coeffs for c in x.num])
+        nums, at = [], 0
+        for x in series.coeffs:
+            # a monic divisor of the primitive top leaves an integer
+            # cofactor (Gauss's lemma)
+            q = [c.numerator for c in _exact_quotient(top, x.den)]
+            nums.append(_poly_times(flat[at:at + len(x.num)], q))
+            at += len(x.num)
+        return cls(series.min_order, nums, den, factors, powers)
+
+    def __mul__(self, other):
+        n = min(len(self.nums), len(other.nums))
+        rows = [[] for _ in range(n)]
+        for i, x in enumerate(self.nums[:n]):
+            if x:
+                for j, y in enumerate(other.nums[:n - i], i):
+                    if y:
+                        rows[j] = _row_sum(rows[j], 1, _poly_times(x, y), 1)
+        factors = dict(self.factors)
+        for p, k in other.factors.items():
+            factors[p] = factors.get(p, 0) + k
+        return _DeltaWindow(self.min_order + other.min_order, rows,
+                            self.den * other.den, factors, self.powers)
+
+    def _lifted(self, factors) -> list:
+        """nums over prod_p p^factors[p], factors covering self's."""
+        lift = [1]
+        for p, k in factors.items():
+            extra = k - self.factors.get(p, 0)
+            if extra:
+                lift = _poly_times(lift, _power(self.powers, p, extra))
+        if lift == [1]:
+            return self.nums
+        return [_poly_times(r, lift) for r in self.nums]
+
+    def __add__(self, other):
+        factors = dict(self.factors)
+        for p, k in other.factors.items():
+            factors[p] = max(k, factors.get(p, 0))
+        g = math.gcd(self.den, other.den)
+        fa, fb = other.den // g, self.den // g
+        nums = [_row_sum(x, fa, y, fb) for x, y in
+                zip(self._lifted(factors), other._lifted(factors))]
+        return _DeltaWindow(self.min_order, nums, self.den * fa, factors,
+                            self.powers)
+
+    def scale(self, c: int):
+        return _DeltaWindow(self.min_order,
+                            [[c * v for v in r] for r in self.nums],
+                            self.den, self.factors, self.powers)
+
+    def series(self) -> TruncatedLaurentSeries:
+        # the reducing constructor gives each coefficient its canonical form
+        den = [self.den]
+        for p, k in self.factors.items():
+            den = _poly_times(den, _power(self.powers, p, k))
+        return TruncatedLaurentSeries(
+            DELTA_FIELD, self.min_order,
+            [DeltaRationalFunction(r, den) for r in self.nums])
+
+
 def regularized_expansion(exponents, directions,
                           precision: int) -> TruncatedLaurentSeries:
     """Exact window of the regularized nested sum, O(eps^precision) tail.
@@ -292,7 +438,8 @@ def regularized_expansion(exponents, directions,
     The binomial recursion F(l, e) from the last slot inward (module
     docstring): every factor window has length precision + M, so the root
     F(1, m_1) lands exactly on [-M, precision).  The ring picks the window
-    type: integer windows over Q, series windows over Q(delta).
+    type: integer numerators over Q, integer delta-polynomial numerators
+    over a factored denominator over Q(delta).
     """
     if precision < 1:
         raise ValueError("window must reach past eps^0")
@@ -301,13 +448,14 @@ def regularized_expansion(exponents, directions,
     length = precision + sum(ms) + k
     tops = tuple(accumulate(ms))
     windows = {}
+    powers = {}
 
     def window(slot, a):
         w = windows.get((slot, a))
         if w is None:
             w = one_var_series(a, rho[slot], length - (a + 1))
-            if w.ring is RATIONAL_FIELD:
-                w = _QWindow.of(w)
+            w = _QWindow.of(w) if w.ring is RATIONAL_FIELD \
+                else _DeltaWindow.of(w, rho[slot], powers)
             windows[slot, a] = w
         return w
 
@@ -324,8 +472,7 @@ def regularized_expansion(exponents, directions,
                     term = term.scale(c)
                 acc = term if acc is None else acc + term
             level[e] = acc
-    root = level[ms[0]]
-    return root.series() if isinstance(root, _QWindow) else root
+    return level[ms[0]].series()
 
 
 # ---------------------------------------------------------------------------

@@ -40,28 +40,29 @@ def test_traced_pass_reaches_every_layer():
     # the tracer splits TruncatedLaurentSeries.__mul__ by ring and counts
     # multiply-adds from its coefficient tuples; these exact figures break
     # if the product leaves __mul__ or its coefficients leave the rings.
-    # The regularized expansion recurses over integer windows on the Q
-    # path, so only the decomposition's own Q products and sums are series
-    # operations; the Q(delta) recursion still multiplies series
+    # The regularized expansion recurses over integer windows on both
+    # paths, Q and Q(delta), so only the decomposition's own products and
+    # sums are series operations
     assert {key: counters[key] for key in (
         "laurent.mul_q_calls", "laurent.mul_q_coeff_ops",
         "laurent.mul_qdelta_calls", "laurent.mul_qdelta_coeff_ops",
         "laurent.add_calls")} == {
         "laurent.mul_q_calls": 3, "laurent.mul_q_coeff_ops": 42,
-        "laurent.mul_qdelta_calls": 3, "laurent.mul_qdelta_coeff_ops": 43,
-        "laurent.add_calls": 10}
+        "laurent.mul_qdelta_calls": 1, "laurent.mul_qdelta_coeff_ops": 5,
+        "laurent.add_calls": 9}
     # the Q(delta) work of the word with a zero: operators, field gcds and
-    # the widest coefficient they produce; the operators skip the gcd
-    # against a constant, and cancelling across before multiplying takes
-    # gcds of the operands, not a full reduction of each product.  The
-    # one-variable memo builds each Q(delta) window once per (b, rho) and
-    # skips the zeta values that vanish, and the expansion scales a product
-    # only by a binomial coefficient other than 1, so fewer operators run
+    # the widest coefficient an operator produces; the operators skip the
+    # gcd against a constant, and cancelling across before multiplying
+    # takes gcds of the operands, not a full reduction of each product.
+    # The one-variable memo builds each Q(delta) window once per (b, rho)
+    # and skips the zeta values that vanish; the expansion runs no
+    # operator, and its root reduces each coefficient once through the
+    # constructor's gcd
     assert {key: counters[key] for key in (
         "arith.qdelta_ops", "arith.poly_gcd_calls",
         "arith.value_max_bits")} == {
-        "arith.qdelta_ops": 193, "arith.poly_gcd_calls": 39,
-        "arith.value_max_bits": 18}
+        "arith.qdelta_ops": 109, "arith.poly_gcd_calls": 26,
+        "arith.value_max_bits": 15}
     # the mzv work: expansions, their one-variable windows, and the words
     # the sessions decompose; the recursion fetches each window once per
     # (slot, power) of an expansion, and here every fetch has its own

@@ -433,6 +433,33 @@ def test_closed_output_pipe():
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    """main parses with one parser per process; a sequence of calls with a
+    usage error in the middle prints what fresh processes print."""
+    monkeypatch.delenv(cli.PRECISION_ENV, raising=False)
+    sequence = [
+        ["eval", "--s=-1,0"],
+        ["eval", "--s=x"],
+        ["series", "--s=0,-1", "--r=1,d", "--prec", "3"],
+        ["verify", "--suite", "hopf", "--max-weight", "2"],
+        ["eval", "--s=-1,0"],
+    ]
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop(cli.PRECISION_ENV, None)
+    codes = []
+    for argv in sequence:
+        rc, out, err = run(capsys, argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "renzeta.cli", *argv], env=env,
+            capture_output=True, text=True, timeout=120)
+        assert (rc, out, err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(rc)
+    assert codes == [0, cli.EXIT_USAGE, 0, 0, 0]
+    assert cli._parser() is cli._parser()
+
+
 def test_pole_exit_code(capsys, monkeypatch):
     def poles(s):
         raise PoleAtZero("denominator vanishes at delta = 0")

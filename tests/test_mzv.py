@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import accumulate, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renzeta import arith, mzv
 from renzeta.arith import (
@@ -17,7 +19,6 @@ from renzeta.hopf import HopfElement, Word, quasi_shuffle
 from renzeta.laurent import (
     DELTA_FIELD,
     RATIONAL_FIELD,
-    TruncatedLaurentSeries,
     series_from_terms,
     windows_agree,
 )
@@ -80,6 +81,20 @@ FOLD_CASES = {
         + [(-3, 0, -1), (0, 0, 0, 0), (-1, 0, 0, -1)]
         + [(0,) * 5, (-1, 0, -1, 0, -1)],
         (1 + DELTA, 2 * DELTA, F(1, 3) + DELTA, DELTA, 3 + DELTA)),
+    # non-monic, non-primitive and degree-2 directions: primitive factors
+    # 1 + d, 1 + 3d, d + d^2 and 3 + d^2, and their cumulative sums
+    "Q(delta) factors": fold_cases(
+        [s for k in (1, 2, 3) for s in product(range(-2, 1), repeat=k)]
+        + [(0, -1, 0, -1)],
+        (2 + 2 * DELTA, F(1, 3) + DELTA, 2 * DELTA + 2 * DELTA ** 2,
+         1 + DELTA ** 2 / 3)),
+    # cumulative sums 1 + d, 2 + 2d, 4 + 4d share one primitive factor,
+    # and d, d + d^2, 2d + d^2 share the irreducible d
+    "Q(delta) repeats": [
+        case for r in ((1 + DELTA, 1 + DELTA, 2 + 2 * DELTA),
+                       (DELTA, DELTA ** 2, DELTA))
+        for case in fold_cases(list(product(range(-2, 1), repeat=2))
+                               + list(product((-1, 0), repeat=3)), r)],
     # a rational direction first: the whole argument is over Q(delta)
     "mixed": fold_cases(
         list(product(range(-3, 1), repeat=2))
@@ -332,7 +347,7 @@ class TestRegularizedExpansion:
         assert products == sum(e + 1 for l in range(len(ms) - 1)
                                for e in range(ms[l], tops[l] + 1))
         rational = all(isinstance(x, Fraction) for x in r)
-        cls = mzv._QWindow if rational else TruncatedLaurentSeries
+        cls = mzv._QWindow if rational else mzv._DeltaWindow
         count = []
         mul = cls.__mul__
 
@@ -343,6 +358,40 @@ class TestRegularizedExpansion:
         monkeypatch.setattr(cls, "__mul__", counted)
         regularized_expansion(s, r, 3)
         assert len(count) == products
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_delta_polynomial_directions_equal_the_per_plan_sum(self, data):
+        # small delta-polynomials with nonnegative coefficients, words of
+        # depth <= 3
+        coefficient = st.fractions(min_value=0, max_value=3,
+                                   max_denominator=3)
+        direction = st.lists(coefficient, min_size=1, max_size=3).filter(
+            any).map(DeltaRationalFunction)
+        k = data.draw(st.integers(1, 3))
+        s = tuple(data.draw(st.lists(st.integers(-2, 0), min_size=k,
+                                     max_size=k)))
+        r = tuple(data.draw(st.lists(direction, min_size=k, max_size=k)))
+        precision = data.draw(st.integers(1, 3))
+        assert regularized_expansion(s, r, precision) == \
+            per_plan_sum(s, r, precision)
+
+    def test_delta_expansion_runs_no_field_operator(self, monkeypatch):
+        # with the one-variable memo warm, the Q(delta) recursion works on
+        # integer windows only: no DeltaRationalFunction sum or product
+        s, r = (-2, 0, -1, 0), (1 + DELTA, 2 * DELTA, F(1, 3) + DELTA, DELTA)
+        want = regularized_expansion(s, r, 3)
+        calls = []
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            op = getattr(DeltaRationalFunction, name)
+
+            def counted(a, b, op=op, name=name):
+                calls.append(name)
+                return op(a, b)
+
+            monkeypatch.setattr(DeltaRationalFunction, name, counted)
+        assert regularized_expansion(s, r, 3) == want
+        assert calls == []
 
     @pytest.mark.parametrize("s, r", [
         ((-1, 0), (F(1), F(2))),
