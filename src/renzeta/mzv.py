@@ -65,15 +65,21 @@ still vanishes at delta = 0 is a genuine pole and raises PoleAtZero exactly
 where it did before, never a removable 0/0 left over from factors kept
 apart (d and d + d^2 share d and are two factors).
 
-One-variable windows come from one process-wide memo keyed by
-(b, rho, ring).  An entry holds the pole coefficient, the Taylor
-coefficients built so far and the next power of rho; a longer request
-extends it and a shorter one truncates it, which is exact because each
-Taylor coefficient depends only on its own index.  The memo holds one entry
-per (b, rho, ring) ever asked for, as long as the longest request, and
-grows with the distinct directions of the process.  Entries are replaced
-whole, never changed in place, so concurrent callers at worst build a
-window twice.
+One place builds every one-variable window, for the expansion and
+one_var_series alike, straight into this integer layout.  With rho = c p,
+c the rational content and p the primitive integer part (p = 1 over Q),
+W(b, rho) is the rational scalars of (b, c), (-1)^(b+1) b! c^(-b-1) at the
+pole and zeta(-b-j) c^j / j! at eps^j, over one integer denominator; over
+Q(delta) the numerator at eps^j is multiplied by p^(j+b+1), over the factor
+p^(b+1).  The scalars come from one process-wide memo keyed by (b, c): Q
+and Q(delta) share its entries, as do directions of one content (1, 1 + d,
+1 + 2d).  An entry holds the pole scalar, the Taylor scalars built so far
+and the next power of c; a longer request extends it and a shorter one
+truncates it, which is exact because each scalar depends only on its own
+index.  The memo holds one entry per (b, c) ever asked for, as long as the
+longest request, and grows with the direction contents of the process.
+Entries are replaced whole, never changed in place, so concurrent callers
+at worst build an entry twice.
 
 Renormalized values: the decomposition engine splits the regularized window,
 and the constant term of its pole-free part at a given direction vector is
@@ -103,7 +109,6 @@ from renzeta.arith import (
     DELTA,
     DeltaRationalFunction,
     _convolve_integers,
-    _exact_quotient,
     _integer_form,
     _over_common_denominator,
     poly_add,
@@ -235,50 +240,23 @@ def one_var_series(power: int, direction,
     Single pole of order power+1 with coefficient
     (-1)^(power+1) power! direction^(-power-1), no other negative
     exponents, and zeta(-power-j) direction^j / j! at eps^j.  The window
-    lies in the direction's ring, Q(delta) or Q.
+    lies in the direction's ring, Q(delta) or Q, and is the one the
+    regularized expansion builds (_one_var_integers).
     """
     if power < 0:
         raise ValueError("slot power must be >= 0")
     if precision < 1:
         raise ValueError("window must reach past eps^0")
-    direction = _check_direction(direction)
-    return _one_var_window(power, direction, precision,
-                           _ring_for((direction,)))
-
-
-# (b, rho, ring) -> (pole coefficient, Taylor coefficients, rho^len(Taylor));
-# the ring stays in the key: a constant DeltaRationalFunction equals and
-# hashes like its Fraction, yet must get a Q(delta) window
-_one_var_windows: dict = {}
-
-
-def _one_var_window(b, rho, precision, ring):
-    key = (b, rho, ring)
-    entry = _one_var_windows.get(key)
-    if entry is None:
-        entry = ((-1) ** (b + 1) * math.factorial(b) * rho ** (-(b + 1)),
-                 (), ring.one)
-    pole, taylor, power = entry
-    if len(taylor) < precision:
-        grown = list(taylor)
-        for j in range(len(taylor), precision):
-            z = zeta_nonpositive(b + j)
-            # zeta vanishes at the negative even integers
-            grown.append(z * power / math.factorial(j) if z else ring.zero)
-            power = power * rho
-        taylor = tuple(grown)
-        # replaced whole, never mutated: a reader keeps a consistent entry
-        _one_var_windows[key] = (pole, taylor, power)
-    return TruncatedLaurentSeries(
-        ring, -(b + 1), (pole,) + (ring.zero,) * b + taylor[:precision])
+    return _one_var_integers(power, _check_direction(direction), precision,
+                             {}).series()
 
 
 class _QWindow:
     """A Q window as integer numerators over one shared denominator:
     nums[i] / den at eps^(min_order + i), exact on the whole stored range.
 
-    Only the regularized expansion builds these, and it adds windows on
-    equal exponent ranges only (module docstring).
+    _one_var_integers builds these, and the regularized expansion adds
+    windows on equal exponent ranges only (module docstring).
     """
 
     __slots__ = ("min_order", "nums", "den")
@@ -287,11 +265,6 @@ class _QWindow:
         self.min_order = min_order
         self.nums = nums
         self.den = den
-
-    @classmethod
-    def of(cls, series):
-        den, nums = _over_common_denominator(series.coeffs)
-        return cls(series.min_order, nums, den)
 
     def __mul__(self, other):
         n = min(len(self.nums), len(other.nums))
@@ -361,25 +334,6 @@ class _DeltaWindow:
         self.factors = factors
         self.powers = powers
 
-    @classmethod
-    def of(cls, series, rho, powers):
-        """The layout of a window of rho's one-variable series, whose
-        coefficient denominators divide rho^(-min_order)."""
-        # a constant rho has the primitive part (1,) and no factor
-        p = tuple(_integer_form(rho.num)[2])
-        factors = {p: -series.min_order} if len(p) > 1 else {}
-        top = tuple(_power(powers, p, -series.min_order))
-        den, flat = _over_common_denominator(
-            [c for x in series.coeffs for c in x.num])
-        nums, at = [], 0
-        for x in series.coeffs:
-            # a monic divisor of the primitive top leaves an integer
-            # cofactor (Gauss's lemma)
-            q = [c.numerator for c in _exact_quotient(top, x.den)]
-            nums.append(_poly_times(flat[at:at + len(x.num)], q))
-            at += len(x.num)
-        return cls(series.min_order, nums, den, factors, powers)
-
     def __mul__(self, other):
         n = min(len(self.nums), len(other.nums))
         rows = [[] for _ in range(n)]
@@ -431,6 +385,49 @@ class _DeltaWindow:
             [DeltaRationalFunction(r, den) for r in self.nums])
 
 
+# (b, c) -> (pole scalar, Taylor scalars, c^len(Taylor)) for a direction of
+# rational content c, shared by both rings (module docstring)
+_one_var_windows: dict = {}
+
+
+def _one_var_integers(b, rho, precision, powers):
+    """W(b, rho) on [-(b+1), precision) in the expansion's integer layout,
+    from the memoized scalars of (b, c) for rho = c p (module docstring):
+    a _QWindow for a rational rho, else a _DeltaWindow over the factor
+    {p: b+1}, the powers of p from the expansion's memo powers."""
+    if isinstance(rho, DeltaRationalFunction):
+        # a constant rho has the primitive part (1,) and no factor
+        content, den, p = _integer_form(rho.num)
+        c, p = Fraction(content, den), tuple(p)
+    else:
+        c, p = rho, None
+    key = (b, c)
+    entry = _one_var_windows.get(key)
+    if entry is None:
+        entry = ((-1) ** (b + 1) * math.factorial(b) / c ** (b + 1), (),
+                 Fraction(1))
+    pole, taylor, power = entry
+    if len(taylor) < precision:
+        grown = list(taylor)
+        for j in range(len(taylor), precision):
+            z = zeta_nonpositive(b + j)
+            # zeta vanishes at the negative even integers
+            grown.append(z * power / math.factorial(j) if z else z)
+            power = power * c
+        taylor = tuple(grown)
+        # replaced whole, never mutated: a reader keeps a consistent entry
+        _one_var_windows[key] = (pole, taylor, power)
+    den, (top, *nums) = _over_common_denominator(
+        (pole,) + taylor[:precision])
+    if p is None:
+        return _QWindow(-(b + 1), [top] + [0] * b + nums, den)
+    rows = [[top]] + [[]] * b + [
+        [n * x for x in _power(powers, p, j + b + 1)] if n else []
+        for j, n in enumerate(nums)]
+    return _DeltaWindow(-(b + 1), rows, den,
+                        {p: b + 1} if len(p) > 1 else {}, powers)
+
+
 def regularized_expansion(exponents, directions,
                           precision: int) -> TruncatedLaurentSeries:
     """Exact window of the regularized nested sum, O(eps^precision) tail.
@@ -453,10 +450,8 @@ def regularized_expansion(exponents, directions,
     def window(slot, a):
         w = windows.get((slot, a))
         if w is None:
-            w = one_var_series(a, rho[slot], length - (a + 1))
-            w = _QWindow.of(w) if w.ring is RATIONAL_FIELD \
-                else _DeltaWindow.of(w, rho[slot], powers)
-            windows[slot, a] = w
+            w = windows[slot, a] = _one_var_integers(
+                a, rho[slot], length - (a + 1), powers)
         return w
 
     # level maps each carried exponent e of the current slot to F(slot, e)

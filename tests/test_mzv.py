@@ -195,7 +195,14 @@ class TestOneVarMemo:
         monkeypatch.setattr(mzv, "_one_var_windows", {})
 
     @pytest.mark.parametrize("rho, ring", [
-        (F(2, 3), RATIONAL_FIELD), (1 + DELTA, DELTA_FIELD)])
+        (F(2, 3), RATIONAL_FIELD), (1 + DELTA, DELTA_FIELD),
+        # non-primitive, non-monic and degree-2 directions, a constant
+        # one, and a content of 1 with a non-monic primitive part
+        (2 + 2 * DELTA, DELTA_FIELD), (F(1, 3) + DELTA, DELTA_FIELD),
+        (2 * DELTA + 2 * DELTA ** 2, DELTA_FIELD),
+        (1 + DELTA ** 2 / 3, DELTA_FIELD),
+        (DeltaRationalFunction.from_rational(F(2)), DELTA_FIELD),
+        (1 + 2 * DELTA, DELTA_FIELD)])
     def test_any_request_order_equals_fresh_windows(self, rho, ring):
         # short then long extends the entry, long then short truncates it
         for b in range(4):
@@ -204,9 +211,20 @@ class TestOneVarMemo:
                 for n in order:
                     assert one_var_series(b, rho, n) == \
                         fresh_one_var(b, rho, n, ring), (b, order, n)
-                # one entry per (b, rho, ring), as long as the longest ask
+                # one entry per (b, content), as long as the longest ask
                 (entry,) = mzv._one_var_windows.values()
                 assert len(entry[1]) == max(order)
+
+    def test_directions_of_one_content_share_an_entry(self):
+        # 1 + d, 1 + 2d and 1 all have content 1: one memo entry, yet each
+        # keeps its own ring and window
+        cases = ((1 + DELTA, DELTA_FIELD), (1 + 2 * DELTA, DELTA_FIELD),
+                 (F(1), RATIONAL_FIELD))
+        for rho, ring in cases:
+            window = one_var_series(2, rho, 4)
+            assert window.ring is ring
+            assert window == fresh_one_var(2, rho, 4, ring), rho
+        assert list(mzv._one_var_windows) == [(2, F(1))]
 
     def test_constant_delta_direction_gets_a_delta_window(self):
         const = DeltaRationalFunction.from_rational(F(2))
@@ -217,7 +235,8 @@ class TestOneVarMemo:
             for r, ring in ((F(2), RATIONAL_FIELD), (const, DELTA_FIELD)):
                 assert one_var_series(1, r, 5) == \
                     fresh_one_var(1, r, 5, ring)
-            assert len(mzv._one_var_windows) == 2
+            # Q and Q(delta) share the scalars of (b, content)
+            assert len(mzv._one_var_windows) == 1
         assert regularized_expansion((0, -1), (F(1), const), 2).ring \
             is DELTA_FIELD
 
@@ -377,17 +396,21 @@ class TestRegularizedExpansion:
             per_plan_sum(s, r, precision)
 
     def test_delta_expansion_runs_no_field_operator(self, monkeypatch):
-        # with the one-variable memo warm, the Q(delta) recursion works on
-        # integer windows only: no DeltaRationalFunction sum or product
+        # from a cold one-variable memo, the Q(delta) windows are built and
+        # combined as integer polynomials: no DeltaRationalFunction operator
+        # runs, and the root reduces through the constructor
         s, r = (-2, 0, -1, 0), (1 + DELTA, 2 * DELTA, F(1, 3) + DELTA, DELTA)
         want = regularized_expansion(s, r, 3)
+        monkeypatch.setattr(mzv, "_one_var_windows", {})
         calls = []
-        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        for name in ("__add__", "__radd__", "__neg__", "__sub__",
+                     "__rsub__", "__mul__", "__rmul__", "__truediv__",
+                     "__rtruediv__", "__pow__"):
             op = getattr(DeltaRationalFunction, name)
 
-            def counted(a, b, op=op, name=name):
+            def counted(*args, op=op, name=name):
                 calls.append(name)
-                return op(a, b)
+                return op(*args)
 
             monkeypatch.setattr(DeltaRationalFunction, name, counted)
         assert regularized_expansion(s, r, 3) == want
