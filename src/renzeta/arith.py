@@ -4,42 +4,44 @@ integers, and the rational-function field in the deformation variable delta.
 Rational scalars are ``fractions.Fraction`` throughout: arbitrary precision,
 stored reduced with positive denominator.  Polynomials are dense tuples of
 Fraction coefficients in ascending degree with no trailing zero; the zero
-polynomial is the empty tuple.  A :class:`DeltaRationalFunction` holds a
-numerator/denominator pair of such tuples in canonical form (gcd one, monic
-denominator), so equality and hashing reduce to tuple comparison.  The only
-limit these functions ever need is the value at delta = 0; when the canonical
-denominator vanishes there, the limit does not exist and
+polynomial is the empty tuple.
+
+A :class:`DeltaRationalFunction` is stored as its canonical integer form
+c p/q: a Fraction c and coprime primitive integer polynomials p and q
+(content one) with positive leading coefficients; zero is c = 0, p = ()
+and q = (1,).  The triple is unique, so equality and hashing compare it.
+``num`` and ``den`` give the same value as Fraction tuples over the monic
+denominator q/lead(q).  The only limit these functions ever need is the
+value at delta = 0; when q vanishes there, the limit does not exist and
 :class:`PoleAtZero` is raised.
 
-The canonical form is reached with as little gcd work as possible.
-``poly_gcd`` runs Euclid on integer primitive parts (pseudo-remainders, each
-made primitive again) and returns the unique monic gcd; a constant operand
-gives 1 at once.  Known factors are divided out over the integers: by Gauss's
-lemma the primitive form of a factor divides that of its multiple over Z,
-and an inexact step raises instead of truncating.  The operators start from
-canonical operands and cancel before multiplying, as ``fractions.Fraction``
-does (Henrici's method), so their results need no full reduction:
+The field runs on integer polynomials only, the layer it shares with the
+regularized expansion (``mzv``).  By Gauss's lemma a product of primitive
+polynomials is primitive, and a primitive polynomial that divides another
+over Q divides it over Z with a primitive quotient, so p and q never leave
+the integers and every rational factor lives in c.  ``poly_gcd`` runs
+Euclid on pseudo-remainders, each made primitive again; a constant operand
+gives 1 at once.  ``_exact_quotient`` raises instead of truncating.  The
+operators start from canonical operands and cancel before multiplying, as
+``fractions.Fraction`` does (Henrici's method), so their results need no
+full reduction:
 
-- a product divides out g1 = gcd(n_a, d_b) and g2 = gcd(n_b, d_a); what is
-  left of each numerator is coprime to both denominators;
-- a sum with g = gcd(d_a, d_b) forms n = n_a (d_b/g) + n_b (d_a/g) over
-  d_a (d_b/g): a prime of d_a/g divides n_b (d_a/g) but neither n_a nor
-  d_b/g, so only the primes of g can divide n, and dividing out gcd(n, g)
-  leaves a coprime pair (for g = 1 the cross-multiplied pair is coprime);
-- negation, the swap of a negative power and powers of a coprime pair stay
-  coprime.
+- a product divides out g1 = gcd(p_a, q_b) and g2 = gcd(p_b, q_a); what is
+  left of each p is coprime to both q;
+- a sum with g = gcd(q_a, q_b) forms the integer polynomial
+  n = m c_a p_a (q_b/g) + m c_b p_b (q_a/g) over m q_a (q_b/g), m the
+  product of the denominators of c_a and c_b: a prime of q_a/g divides
+  p_b (q_a/g) but neither p_a nor q_b/g, so only the primes of g can divide
+  n, and dividing out gcd(n, g) leaves a coprime pair;
+- negation, the swap of p and q and powers of a coprime pair stay coprime.
 
-A gcd whose operand is a constant is skipped, and quotients of monic
-polynomials by monic ones are monic, so the operators only check that the
-denominator is monic.  Every polynomial gcd goes through ``poly_gcd``.
+Every polynomial gcd goes through ``poly_gcd``.
 
-Products of Fraction sequences, the Q series windows and the Q(delta) and
-Q[T] polynomials alike, bring each factor over one common denominator and
+Products of Fraction sequences, the Q series windows and the Q[T]
+polynomials alike, bring each factor over one common denominator and
 convolve the integer numerators in ``_convolve_integers``, the package's one
-integer multiply-add loop.  The integer windows of the regularized
-expansion (``mzv``) run on the same loop: over Q it convolves their
-numerator sequences, over Q(delta) it multiplies their delta-polynomial
-numerators pairwise and lifts them by powers of their factors.
+integer multiply-add loop, which the integer polynomials of the field and
+the expansion's windows run on too.
 
 ``zeta_nonpositive`` memoizes its values in a process-wide ``functools.cache``
 (``cache_info()`` gives size and hits), keyed by k: the series windows ask for
@@ -53,6 +55,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
+from itertools import zip_longest
 
 __all__ = [
     "PoleAtZero",
@@ -179,97 +182,6 @@ def poly_mul(a: tuple, b: tuple) -> tuple:
     return poly_trim(_convolve_fractions(a, b, len(a) + len(b) - 1))
 
 
-def poly_monic(a: tuple) -> tuple:
-    if not a:
-        return ()
-    lead = a[-1]
-    return tuple(c / lead for c in a)
-
-
-def _integer_form(a: tuple) -> tuple:
-    """(numerator, denominator, primitive) with a = numerator/denominator *
-    primitive: one lcm of the denominators, one gcd content, and an integer
-    list of content one.  a must be nonzero."""
-    den, ints = _over_common_denominator(a)
-    content = math.gcd(*ints)
-    return content, den, [x // content for x in ints]
-
-
-def _primitive_remainder(a: list, b: list) -> list:
-    """Primitive part of the pseudo-remainder of integer lists a by b,
-    len(a) >= len(b) > 1; each step scales the running remainder by the
-    cofactor of its leading term only."""
-    r = list(a)
-    lead, nb = b[-1], len(b)
-    while len(r) >= nb:
-        top = r[-1]
-        g = math.gcd(top, lead)
-        scale, t = lead // g, top // g
-        if scale != 1:
-            r = [scale * x for x in r]
-        k = len(r) - nb
-        for j, y in enumerate(b):
-            r[k + j] -= t * y
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-    if r:
-        content = math.gcd(*r)
-        if content != 1:
-            r = [x // content for x in r]
-    return r
-
-
-def poly_gcd(a: tuple, b: tuple) -> tuple:
-    """Monic gcd; gcd((), ()) = () and a nonzero constant gives (1,).
-
-    Euclid runs on the integer primitive parts with pseudo-remainders, each
-    remainder made primitive again; the monic gcd is unique, so it equals
-    the one Euclid over Fraction coefficients gives.
-    """
-    if not a or not b:
-        return poly_monic(a or b)
-    if len(a) == 1 or len(b) == 1:
-        return (_ONE,)
-    a, b = _integer_form(a)[2], _integer_form(b)[2]
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        a, b = b, _primitive_remainder(a, b)
-    if b:
-        return (_ONE,)
-    lead = a[-1]
-    return tuple(Fraction(c, lead) for c in a)
-
-
-def _exact_quotient(a: tuple, g: tuple) -> tuple:
-    """a / g for a monic g known to divide a nonzero a.
-
-    By Gauss's lemma the primitive integer form of g divides that of a over
-    Z, so the long division runs over ints; a step that does not divide
-    exactly raises ArithmeticError instead of truncating.
-    """
-    if len(g) == 1:
-        return a
-    num, den, ia = _integer_form(a)
-    _, _, ig = _integer_form(g)
-    lead, ng = ig[-1], len(ig)
-    quo = [0] * (len(ia) - ng + 1)
-    for i in range(len(quo) - 1, -1, -1):
-        q, r = divmod(ia[i + ng - 1], lead)
-        if r:
-            raise ArithmeticError("polynomial quotient is not exact")
-        quo[i] = q
-        if q:
-            for j, y in enumerate(ig):
-                ia[i + j] -= q * y
-    if any(ia[:ng - 1]):
-        raise ArithmeticError("polynomial quotient is not exact")
-    # g = ig / lead, so a / g = num/den * lead * quo
-    num *= lead
-    return tuple(Fraction(q * num, den) if q else _ZERO for q in quo)
-
-
 def poly_eval(a: tuple, x: Fraction) -> Fraction:
     acc = _ZERO
     for c in reversed(a):
@@ -345,50 +257,132 @@ def poly_parse(text: str, var: str) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# The field Q(delta).
+# Integer polynomials: ascending tuples or lists of ints without a trailing
+# zero, shared by the field below and the expansion's windows (``mzv``).
 
-def _gcd_unless_constant(a: tuple, b: tuple) -> tuple:
-    """poly_gcd of two nonzero polynomials, skipped when one is constant."""
+def _poly_times(a, b) -> list:
+    """Product of two integer polynomials; the zero polynomial is []."""
+    if not a or not b:
+        return []
+    return _convolve_integers(a, b, len(a) + len(b) - 1)
+
+
+def _row_sum(x, a, y, b) -> list:
+    """a*x + b*y for integer polynomials x and y."""
+    row = [u * a + v * b for u, v in zip_longest(x, y, fillvalue=0)]
+    while row and row[-1] == 0:
+        row.pop()
+    return row
+
+
+def _primitive(a) -> tuple:
+    """(k, p) with a = k p for a nonzero integer polynomial a: p primitive
+    with a positive leading coefficient."""
+    k = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
+    return k, tuple(a) if k == 1 else tuple(x // k for x in a)
+
+
+def _primitive_remainder(a, b) -> list:
+    """Primitive part of the pseudo-remainder of integer polynomials a by b,
+    len(a) >= len(b) > 1, with a positive leading coefficient; each step
+    scales the running remainder by the cofactor of its leading term only."""
+    r = list(a)
+    lead, nb = b[-1], len(b)
+    while len(r) >= nb:
+        top = r[-1]
+        g = math.gcd(top, lead)
+        scale, t = lead // g, top // g
+        if scale != 1:
+            r = [scale * x for x in r]
+        k = len(r) - nb
+        for j, y in enumerate(b):
+            r[k + j] -= t * y
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return _primitive(r)[1] if r else r
+
+
+def poly_gcd(a: tuple, b: tuple) -> tuple:
+    """gcd of primitive integer polynomials with positive leading
+    coefficients, in the same form: the monic gcd over Q made primitive.
+    gcd((), b) = b, and a constant operand gives (1,) at once; Euclid runs
+    on pseudo-remainders, each made primitive again."""
+    if not a or not b:
+        return tuple(a or b)
     if len(a) == 1 or len(b) == 1:
-        return (_ONE,)
-    return poly_gcd(a, b)
+        return (1,)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        a, b = b, _primitive_remainder(a, b)
+    return (1,) if b else tuple(a)
 
+
+def _exact_quotient(a, g) -> tuple:
+    """a / g for primitive integer polynomials with positive leading
+    coefficients, g known to divide a: by Gauss's lemma again such a
+    polynomial.  A step of the long division over ints that does not divide
+    exactly raises ArithmeticError instead of truncating."""
+    if len(g) == 1:
+        return tuple(a)
+    rem = list(a)
+    lead, ng = g[-1], len(g)
+    quo = [0] * (len(rem) - ng + 1)
+    for i in range(len(quo) - 1, -1, -1):
+        q, r = divmod(rem[i + ng - 1], lead)
+        if r:
+            raise ArithmeticError("polynomial quotient is not exact")
+        quo[i] = q
+        if q:
+            for j, y in enumerate(g):
+                rem[i + j] -= q * y
+    if any(rem[:ng - 1]):
+        raise ArithmeticError("polynomial quotient is not exact")
+    return tuple(quo)
+
+
+# ---------------------------------------------------------------------------
+# The field Q(delta).
 
 class DeltaRationalFunction:
     """Element of the field of rational functions in delta over Q.
 
-    ``num`` and ``den`` are coefficient tuples; the constructor reduces to
-    canonical form, so two equal values always have identical tuples.
+    Stored as the canonical triple c p/q (module docstring), which the
+    constructor reaches from any numerator and denominator; ``num`` and
+    ``den`` are its Fraction tuples over the monic denominator.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_c", "_p", "_q")
 
-    def __init__(self, num, den=(_ONE,)):
-        n = poly_trim(num)
-        d = poly_trim(den)
+    def __new__(cls, num, den=(_ONE,)):
+        dn, n = _over_common_denominator(poly_trim(num))
+        dd, d = _over_common_denominator(poly_trim(den))
         if not d:
             raise ZeroDivisionError("rational function with zero denominator")
-        if not n:
-            d = (_ONE,)
-        elif len(n) > 1 and len(d) > 1:
-            g = poly_gcd(n, d)
-            n, d = _exact_quotient(n, g), _exact_quotient(d, g)
-        self._set(n, d)
-
-    def _set(self, n, d):
-        lead = d[-1]
-        if lead != 1:
-            n = tuple(c / lead for c in n)
-            d = tuple(c / lead for c in d)
-        object.__setattr__(self, "num", n)
-        object.__setattr__(self, "den", d)
+        k, q = _primitive(d)
+        # num/den = (n/dn) / (k q/dd)
+        return cls._of_integers([x * dd for x in n], dn * k, q)
 
     @classmethod
-    def _reduced(cls, n, d):
-        """The value n/d of a coprime pair: only the denominator is made
-        monic."""
+    def _of_integers(cls, row, den: int, q):
+        """row / (den q) for an integer polynomial row, a nonzero integer
+        den and a primitive q with a positive leading coefficient: one gcd
+        and one Fraction."""
+        if not row:
+            return cls._new(_ZERO, (), (1,))
+        k, p = _primitive(row)
+        g = poly_gcd(p, q)
+        return cls._new(Fraction(k, den), _exact_quotient(p, g),
+                        _exact_quotient(q, g))
+
+    @classmethod
+    def _new(cls, c, p, q):
+        """The value of a canonical triple."""
         out = object.__new__(cls)
-        out._set(n, d)
+        object.__setattr__(out, "_c", c)
+        object.__setattr__(out, "_p", p)
+        object.__setattr__(out, "_q", q)
         return out
 
     def __setattr__(self, name, value):
@@ -397,37 +391,48 @@ class DeltaRationalFunction:
     def __reduce__(self):
         return DeltaRationalFunction, (self.num, self.den)
 
+    @property
+    def num(self) -> tuple:
+        s = self._c / self._q[-1]
+        return tuple(s * x for x in self._p)
+
+    @property
+    def den(self) -> tuple:
+        lead = self._q[-1]
+        return tuple(Fraction(x, lead) for x in self._q)
+
     @classmethod
     def from_rational(cls, value) -> "DeltaRationalFunction":
-        return cls((Fraction(value),))
+        c = Fraction(value)
+        return cls._new(c, (1,) if c else (), (1,))
 
     @staticmethod
     def _coerce(value):
         if isinstance(value, DeltaRationalFunction):
             return value
         if isinstance(value, (int, Fraction)):
-            return DeltaRationalFunction((Fraction(value),))
+            return DeltaRationalFunction.from_rational(value)
         return None
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._p
 
     def is_rational(self) -> bool:
-        return self.den == (_ONE,) and len(self.num) <= 1
+        return self._q == (1,) and len(self._p) <= 1
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not a constant rational")
-        return self.num[0] if self.num else _ZERO
+        return self._c
 
     def is_polynomial(self) -> bool:
-        return self.den == (_ONE,)
+        return self._q == (1,)
 
     def has_nonnegative_coefficients(self) -> bool:
         """True for polynomials all of whose coefficients are >= 0."""
-        return self.is_polynomial() and all(c >= 0 for c in self.num)
+        return self._q == (1,) and all(self._c * x >= 0 for x in self._p)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -435,30 +440,29 @@ class DeltaRationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o.num:
+        if not o._p:
             return self
-        if not self.num:
+        if not self._p:
             return o
-        da, db = self.den, o.den
-        g = _gcd_unless_constant(da, db)
-        if len(g) == 1:
-            # coprime denominators: no factor of da*db divides the sum
-            return DeltaRationalFunction._reduced(
-                poly_add(poly_mul(self.num, db), poly_mul(o.num, da)),
-                poly_mul(da, db))
-        ca, cb = _exact_quotient(da, g), _exact_quotient(db, g)
-        n = poly_add(poly_mul(self.num, cb), poly_mul(o.num, ca))
+        na, da = self._c.as_integer_ratio()
+        nb, db = o._c.as_integer_ratio()
+        g = poly_gcd(self._q, o._q)
+        ka, kb = _exact_quotient(self._q, g), _exact_quotient(o._q, g)
+        n = _row_sum(_poly_times(self._p, kb), na * db,
+                     _poly_times(o._p, ka), nb * da)
         if not n:
-            return DeltaRationalFunction(())
-        # the factors of ca and cb cannot divide n; only those of g can
-        h = _gcd_unless_constant(n, g)
-        return DeltaRationalFunction._reduced(
-            _exact_quotient(n, h), poly_mul(_exact_quotient(da, h), cb))
+            return DeltaRationalFunction._new(_ZERO, (), (1,))
+        k, n = _primitive(n)
+        # the factors of ka and kb cannot divide n; only those of g can
+        h = poly_gcd(n, g)
+        return DeltaRationalFunction._new(
+            Fraction(k, da * db), _exact_quotient(n, h),
+            tuple(_poly_times(_exact_quotient(self._q, h), kb)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DeltaRationalFunction._reduced(poly_neg(self.num), self.den)
+        return DeltaRationalFunction._new(-self._c, self._p, self._q)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -477,22 +481,23 @@ class DeltaRationalFunction:
         if o is None:
             return NotImplemented
         # cancel across before multiplying (module docstring)
-        if not self.num or not o.num:
-            return DeltaRationalFunction(())
-        g1 = _gcd_unless_constant(self.num, o.den)
-        g2 = _gcd_unless_constant(o.num, self.den)
-        return DeltaRationalFunction._reduced(
-            poly_mul(_exact_quotient(self.num, g1),
-                     _exact_quotient(o.num, g2)),
-            poly_mul(_exact_quotient(self.den, g2),
-                     _exact_quotient(o.den, g1)))
+        if not self._p or not o._p:
+            return DeltaRationalFunction._new(_ZERO, (), (1,))
+        g1 = poly_gcd(self._p, o._q)
+        g2 = poly_gcd(o._p, self._q)
+        return DeltaRationalFunction._new(
+            self._c * o._c,
+            tuple(_poly_times(_exact_quotient(self._p, g1),
+                              _exact_quotient(o._p, g2))),
+            tuple(_poly_times(_exact_quotient(self._q, g2),
+                              _exact_quotient(o._q, g1))))
 
     __rmul__ = __mul__
 
     def _inverse(self):
-        if not self.num:
+        if not self._p:
             raise ZeroDivisionError("division by the zero rational function")
-        return DeltaRationalFunction._reduced(self.den, self.num)
+        return DeltaRationalFunction._new(1 / self._c, self._q, self._p)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -509,25 +514,26 @@ class DeltaRationalFunction:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0 and not self.num:
+        if exponent < 0 and not self._p:
             raise ZeroDivisionError("zero has no negative power")
         base = self._inverse() if exponent < 0 else self
         # powers of a coprime pair stay coprime
-        num, den = (_ONE,), (_ONE,)
+        p, q = (1,), (1,)
         for _ in range(abs(exponent)):
-            num, den = poly_mul(num, base.num), poly_mul(den, base.den)
-        return DeltaRationalFunction._reduced(num, den)
+            p, q = _poly_times(p, base._p), _poly_times(q, base._q)
+        return DeltaRationalFunction._new(
+            base._c ** abs(exponent), tuple(p), tuple(q))
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self._c == o._c and self._p == o._p and self._q == o._q
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.as_rational())
-        return hash((self.num, self.den))
+            return hash(self._c)
+        return hash((self._c, self._p, self._q))
 
     def __bool__(self):
         return not self.is_zero()
@@ -540,18 +546,17 @@ class DeltaRationalFunction:
         Canonical form has coprime numerator and denominator, so a vanishing
         denominator at 0 is a genuine pole, never a removable 0/0.
         """
-        d0 = self.den[0] if self.den else _ONE
-        if d0 == 0:
+        q0 = self._q[0]
+        if q0 == 0:
             raise PoleAtZero(f"{self} has a pole at delta = 0")
-        n0 = self.num[0] if self.num else _ZERO
-        return n0 / d0
+        return self._c * self._p[0] / q0 if self._p else _ZERO
 
     def evaluate(self, x) -> Fraction:
         x = Fraction(x)
-        d = poly_eval(self.den, x)
+        d = poly_eval(self._q, x)
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at delta = {x}")
-        return poly_eval(self.num, x) / d
+        return self._c * poly_eval(self._p, x) / d
 
     # -- text and JSON ------------------------------------------------------
 

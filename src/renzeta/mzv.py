@@ -57,29 +57,31 @@ the integer loop of ``arith``, multiplies the integer denominators and adds
 the exponents.  A sum lifts both windows to the larger exponent of each
 factor, with the powers of a factor memoized for one expansion, and
 combines the integer denominators through one gcd, as over Q.  Nothing is
-reduced on the way; at the root every coefficient goes through the reducing
-constructor ``DeltaRationalFunction(num, den)``, so it lands in the same
-canonical form (coprime pair, monic denominator) the field operators
-give.  That form is what ``limit_at_zero`` reads, so a denominator that
-still vanishes at delta = 0 is a genuine pole and raises PoleAtZero exactly
-where it did before, never a removable 0/0 left over from factors kept
-apart (d and d + d^2 share d and are two factors).
+reduced on the way.  At the root each integer row, the integer denominator
+and the product of the primitive factors go to the field's integer
+constructor, which takes one gcd and builds one Fraction per coefficient,
+so every coefficient lands in the canonical form c p/q the field operators
+give.  That form is what ``limit_at_zero`` reads, so a q that still
+vanishes at delta = 0 is a genuine pole and raises PoleAtZero exactly where
+it did before, never a removable 0/0 left over from factors kept apart (d
+and d + d^2 share d and are two factors).
 
 One place builds every one-variable window, for the expansion and
 one_var_series alike, straight into this integer layout.  With rho = c p,
-c the rational content and p the primitive integer part (p = 1 over Q),
-W(b, rho) is the rational scalars of (b, c), (-1)^(b+1) b! c^(-b-1) at the
-pole and zeta(-b-j) c^j / j! at eps^j, over one integer denominator; over
-Q(delta) the numerator at eps^j is multiplied by p^(j+b+1), over the factor
-p^(b+1).  The scalars come from one process-wide memo keyed by (b, c): Q
-and Q(delta) share its entries, as do directions of one content (1, 1 + d,
-1 + 2d).  An entry holds the pole scalar, the Taylor scalars built so far
-and the next power of c; a longer request extends it and a shorter one
-truncates it, which is exact because each scalar depends only on its own
-index.  The memo holds one entry per (b, c) ever asked for, as long as the
-longest request, and grows with the direction contents of the process.
-Entries are replaced whole, never changed in place, so concurrent callers
-at worst build an entry twice.
+c the rational content and p the primitive integer part (p = 1 over Q; a
+delta-direction stores both), W(b, rho) is the rational scalars of (b, c),
+(-1)^(b+1) b! c^(-b-1) at the pole and zeta(-b-j) c^j / j! at eps^j, over
+one integer denominator; over Q(delta) the numerator at eps^j is
+multiplied by p^(j+b+1), over the factor p^(b+1).  The scalars come from
+one process-wide memo keyed by (b, c): Q and Q(delta) share its entries,
+as do directions of one content (1, 1 + d, 1 + 2d).  An entry holds the
+pole scalar, the Taylor scalars built so far and the next power of c; a
+longer request extends it and a shorter one truncates it, which is exact
+because each scalar depends only on its own index.  The memo holds one
+entry per (b, c) ever asked for, as long as the longest request, and grows
+with the direction contents of the process.  Entries are replaced whole,
+never changed in place, so concurrent callers at worst build an entry
+twice.
 
 Renormalized values: the decomposition engine splits the regularized window,
 and the constant term of its pole-free part at a given direction vector is
@@ -103,14 +105,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, zip_longest
+from itertools import accumulate
 
 from renzeta.arith import (
     DELTA,
     DeltaRationalFunction,
     _convolve_integers,
-    _integer_form,
     _over_common_denominator,
+    _poly_times,
+    _row_sum,
     poly_add,
     zeta_nonpositive,
 )
@@ -290,22 +293,6 @@ class _QWindow:
             [Fraction(v, d) for v in self.nums])
 
 
-def _poly_times(a, b) -> list:
-    """Product of two integer polynomials, ascending lists without a
-    trailing zero; the zero polynomial is []."""
-    if not a or not b:
-        return []
-    return _convolve_integers(a, b, len(a) + len(b) - 1)
-
-
-def _row_sum(x, a, y, b) -> list:
-    """a*x + b*y for integer polynomials x and y."""
-    row = [u * a + v * b for u, v in zip_longest(x, y, fillvalue=0)]
-    while row and row[-1] == 0:
-        row.pop()
-    return row
-
-
 def _power(powers, p, k) -> list:
     """p^k for a primitive factor p, from the expansion's memo."""
     out = powers.get((p, k))
@@ -376,13 +363,14 @@ class _DeltaWindow:
                             self.den, self.factors, self.powers)
 
     def series(self) -> TruncatedLaurentSeries:
-        # the reducing constructor gives each coefficient its canonical form
-        den = [self.den]
+        # the integer constructor gives each coefficient its canonical form
+        q = [1]
         for p, k in self.factors.items():
-            den = _poly_times(den, _power(self.powers, p, k))
+            q = _poly_times(q, _power(self.powers, p, k))
         return TruncatedLaurentSeries(
             DELTA_FIELD, self.min_order,
-            [DeltaRationalFunction(r, den) for r in self.nums])
+            [DeltaRationalFunction._of_integers(r, self.den, q)
+             for r in self.nums])
 
 
 # (b, c) -> (pole scalar, Taylor scalars, c^len(Taylor)) for a direction of
@@ -394,11 +382,11 @@ def _one_var_integers(b, rho, precision, powers):
     """W(b, rho) on [-(b+1), precision) in the expansion's integer layout,
     from the memoized scalars of (b, c) for rho = c p (module docstring):
     a _QWindow for a rational rho, else a _DeltaWindow over the factor
-    {p: b+1}, the powers of p from the expansion's memo powers."""
+    {p: b+1}, c and p read off the delta-polynomial's canonical form and
+    the powers of p from the expansion's memo powers."""
     if isinstance(rho, DeltaRationalFunction):
-        # a constant rho has the primitive part (1,) and no factor
-        content, den, p = _integer_form(rho.num)
-        c, p = Fraction(content, den), tuple(p)
+        # a constant rho has p = (1,) and no factor
+        c, p = rho._c, rho._p
     else:
         c, p = rho, None
     key = (b, c)
@@ -444,24 +432,18 @@ def regularized_expansion(exponents, directions,
     k = len(ms)
     length = precision + sum(ms) + k
     tops = tuple(accumulate(ms))
-    windows = {}
     powers = {}
-
-    def window(slot, a):
-        w = windows.get((slot, a))
-        if w is None:
-            w = windows[slot, a] = _one_var_integers(
-                a, rho[slot], length - (a + 1), powers)
-        return w
-
     # level maps each carried exponent e of the current slot to F(slot, e)
-    level = {e: window(k - 1, e) for e in range(ms[-1], tops[-1] + 1)}
+    level = {e: _one_var_integers(e, rho[-1], length - (e + 1), powers)
+             for e in range(ms[-1], tops[-1] + 1)}
     for slot in range(k - 2, -1, -1):
+        windows = [_one_var_integers(a, rho[slot], length - (a + 1), powers)
+                   for a in range(tops[slot] + 1)]
         inner, level = level, {}
         for e in range(ms[slot], tops[slot] + 1):
             acc = None
             for a in range(e + 1):
-                term = window(slot, a) * inner[e - a + ms[slot + 1]]
+                term = windows[a] * inner[e - a + ms[slot + 1]]
                 c = math.comb(e, a)
                 if c != 1:
                     term = term.scale(c)
@@ -611,6 +593,13 @@ def two_var_an_check(n: int, r1, r2) -> CheckReport:
 # ---------------------------------------------------------------------------
 # Floating-point cross-check.
 
+def _float_directions(word) -> list:
+    """A word's rational directions as floats, for the float oracles."""
+    if not all(isinstance(l.r, Fraction) for l in word):
+        raise TypeError("numeric oracle needs rational directions")
+    return [float(l.r) for l in word]
+
+
 def numeric_oracle(exponents, directions, eps0: float,
                    terms: int) -> float:
     """Partial nested sum at a concrete negative eps, summed by layered
@@ -621,10 +610,7 @@ def numeric_oracle(exponents, directions, eps0: float,
     if terms < 1:
         raise ValueError("need at least one term")
     ms = [-l.s for l in word]
-    rs = [float(l.r) if isinstance(l.r, Fraction) else None
-          for l in word]
-    if any(r is None for r in rs):
-        raise TypeError("numeric oracle needs rational directions")
+    rs = _float_directions(word)
 
     def layer(m, r):
         return [n ** m * math.exp(n * r * eps0)
@@ -660,7 +646,7 @@ def oracle_tail_bound(exponents, directions, eps0: float,
     if not eps0 < 0:
         raise ValueError("tail bounds need eps < 0")
     a = sum(-l.s for l in word) + len(word) - 1
-    lam = -float(word[0].r) * eps0
+    lam = -_float_directions(word)[0] * eps0
     try:
         n0 = max(terms + 1, math.ceil(2 * a / lam))
         one_minus_rho = -math.expm1(a * math.log1p(1 / n0) - lam)

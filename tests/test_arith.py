@@ -304,14 +304,49 @@ def as_pair(value):
     return value.num, value.den
 
 
+def integer_parts(a):
+    """(k, p) with a = k p: a Fraction k and a primitive integer tuple p
+    with a positive leading coefficient; (0, ()) for the zero polynomial."""
+    if not a:
+        return F(0), ()
+    den = math.lcm(*(c.denominator for c in a))
+    ints = [int(c * den) for c in a]
+    k = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    return F(k, den), tuple(x // k for x in ints)
+
+
 class TestFieldAgainstOracle:
     @given(polys, polys, polys)
     @settings(max_examples=100, deadline=None)
     def test_poly_gcd_equals_euclid_over_fractions(self, f, g, h):
-        # zero, constants, and a factor g shared by f*g and h*g
+        # zero, constants, and a factor g shared by f*g and h*g, fed as
+        # primitive integer parts; the oracle's monic gcd made primitive
         for a, b in ((f, h), (naive_mul(f, g), naive_mul(h, g)),
                      (g, ()), ((), g), (f, (F(3),))):
-            assert poly_gcd(a, b) == oracle_gcd(a, b), (a, b)
+            got = poly_gcd(integer_parts(a)[1], integer_parts(b)[1])
+            assert got == integer_parts(oracle_gcd(a, b))[1], (a, b)
+
+    @given(fractions_in_delta, st.integers(min_value=1, max_value=6))
+    @settings(max_examples=80, deadline=None)
+    def test_stored_triple_is_canonical(self, pair, scale):
+        v = DRF(*pair)
+        c, p, q = v._c, v._p, v._q
+        assert type(c) is F and (c == 0) == (p == ())
+        for poly in (p, q):
+            assert all(type(x) is int for x in poly)
+        assert q[-1] > 0 and math.gcd(*q) == 1
+        assert not p or (p[-1] > 0 and math.gcd(*p) == 1)
+        assert poly_gcd(p, q) == (1,)
+        w = DRF(v.num, v.den)
+        assert (w._c, w._p, w._q) == (c, p, q)
+        # the root constructor: an integer row over an integer denominator
+        # and a primitive q, the row scaled so that it is not primitive
+        kn, pn = integer_parts(pair[0])
+        kd, qd = integer_parts(pair[1])
+        ratio = kn / kd
+        row = [scale * ratio.numerator * x for x in pn]
+        u = DRF._of_integers(row, scale * ratio.denominator, qd)
+        assert (u._c, u._p, u._q) == (c, p, q)
 
     @given(fractions_in_delta)
     @settings(max_examples=80, deadline=None)
@@ -364,4 +399,4 @@ class TestFieldAgainstOracle:
     def test_inexact_quotient_raises(self):
         # 1 + d^2 is not a multiple of 1 + d
         with pytest.raises(ArithmeticError):
-            arith._exact_quotient((F(1), F(0), F(1)), (F(1), F(1)))
+            arith._exact_quotient((1, 0, 1), (1, 1))

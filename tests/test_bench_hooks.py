@@ -54,16 +54,16 @@ def test_traced_pass_reaches_every_layer():
         "laurent.mul_qdelta_calls": 1, "laurent.mul_qdelta_coeff_ops": 5,
         "laurent.add_calls": 9}
     # the Q(delta) work of the word with a zero: operators, field gcds and
-    # the widest coefficient an operator produces; the operators skip the
-    # gcd against a constant, and cancelling across before multiplying
-    # takes gcds of the operands, not a full reduction of each product.
-    # The one-variable windows and the expansion run no operator: only the
-    # decomposition does, and the expansion's root reduces each coefficient
-    # once through the constructor's gcd
+    # the widest coefficient an operator produces; a gcd with a constant
+    # operand is counted and returns at once, and cancelling across before
+    # multiplying takes gcds of the operands, not a full reduction of each
+    # product.  The one-variable windows and the expansion run no
+    # operator: only the decomposition does, and the expansion's root
+    # reduces each coefficient once through the integer constructor's gcd
     assert {key: counters[key] for key in (
         "arith.qdelta_ops", "arith.poly_gcd_calls",
         "arith.value_max_bits")} == {
-        "arith.qdelta_ops": 39, "arith.poly_gcd_calls": 26,
+        "arith.qdelta_ops": 39, "arith.poly_gcd_calls": 40,
         "arith.value_max_bits": 10}
     # the mzv work: expansions and the words the sessions decompose
     assert {key: counters[key] for key in (

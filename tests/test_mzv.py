@@ -608,6 +608,16 @@ class TestNumericOracle:
         with pytest.raises(TypeError):
             numeric_oracle((0,), (DELTA,), -0.1, 100)
 
+    @pytest.mark.parametrize("s, r", [
+        ((0,), (1 + DELTA,)),
+        ((0, -1), (1, 1 + DELTA)),
+    ])
+    def test_both_oracles_reject_delta_directions(self, s, r):
+        # a delta-direction in the first slot or a later one
+        for oracle in (numeric_oracle, oracle_tail_bound):
+            with pytest.raises(TypeError, match="needs rational directions"):
+                oracle(s, r, -0.1, 10)
+
     def test_tail_bound_shrinks(self):
         b1 = oracle_tail_bound((0, 0), (1, 1), -0.1, 500)
         b2 = oracle_tail_bound((0, 0), (1, 1), -0.1, 2000)
