@@ -37,11 +37,13 @@ full reduction:
 
 Every polynomial gcd goes through ``poly_gcd``.
 
-Products of Fraction sequences, the Q series windows and the Q[T]
-polynomials alike, bring each factor over one common denominator and
-convolve the integer numerators in ``_convolve_integers``, the package's one
-integer multiply-add loop, which the integer polynomials of the field and
-the expansion's windows run on too.
+Products of Fraction polynomials (``poly_mul``) bring each factor over one
+common denominator and convolve the integer numerators in
+``_convolve_integers``, the package's one integer multiply-add loop.  The
+Q series (``laurent``), which keep that layout between operations, the
+integer polynomials of the field and the expansion's windows run on it
+too.  ``_convolve_rows`` convolves sequences of integer polynomials, for
+the Q[T] series products and the expansion's Q(delta) windows.
 
 ``zeta_nonpositive`` memoizes its values in a process-wide ``functools.cache``
 (``cache_info()`` gives size and hits), keyed by k: the series windows ask for
@@ -150,8 +152,9 @@ def _over_common_denominator(a) -> tuple:
 def _convolve_integers(a, b, n: int) -> list:
     """First n coefficients of the product of two integer lists.
 
-    The one integer multiply-add loop: the Fraction products below and the
-    integer windows of the regularized expansion (``mzv``) both run on it.
+    The one integer multiply-add loop: ``poly_mul``, the Q series products
+    (``laurent``) and the integer windows of the regularized expansion
+    (``mzv``) all run on it.
     """
     acc = [0] * n
     for i, x in enumerate(a[:n]):
@@ -161,25 +164,21 @@ def _convolve_integers(a, b, n: int) -> list:
     return acc
 
 
-def _convolve_fractions(a, b, n: int) -> list:
-    """First n coefficients of the product of two Fraction tuples.
+def poly_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two Fraction polynomials.
 
     Each factor is brought over one common denominator, the integer
     numerators are convolved by ``_convolve_integers``, and one
     ``Fraction`` is built per output coefficient, as FLINT's ``fmpq_poly``
     does (https://flintlib.org).  A ``Fraction`` is stored reduced, so
-    every coefficient, and so every printed byte, equals the one the
-    Fraction-by-Fraction sum gives.
+    every coefficient equals the one the Fraction-by-Fraction sum gives.
     """
-    da, ia = _over_common_denominator(a[:n])
-    db, ib = _over_common_denominator(b[:n])
+    n = len(a) + len(b) - 1
+    da, ia = _over_common_denominator(a)
+    db, ib = _over_common_denominator(b)
     d = da * db
-    return [Fraction(v, d) if v else _ZERO
-            for v in _convolve_integers(ia, ib, n)]
-
-
-def poly_mul(a: tuple, b: tuple) -> tuple:
-    return poly_trim(_convolve_fractions(a, b, len(a) + len(b) - 1))
+    return poly_trim(Fraction(v, d) if v else _ZERO
+                     for v in _convolve_integers(ia, ib, n))
 
 
 def poly_eval(a: tuple, x: Fraction) -> Fraction:
@@ -273,6 +272,18 @@ def _row_sum(x, a, y, b) -> list:
     while row and row[-1] == 0:
         row.pop()
     return row
+
+
+def _convolve_rows(a, b, n: int) -> list:
+    """First n coefficients of the product of two lists of integer
+    polynomials."""
+    rows = [[] for _ in range(n)]
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[:n - i], i):
+                if y:
+                    rows[j] = _row_sum(rows[j], 1, _poly_times(x, y), 1)
+    return rows
 
 
 def _primitive(a) -> tuple:

@@ -17,20 +17,38 @@ alpha(T) eps^k to (alpha'(T) + k alpha(T)) eps^(k-1).  On T-free series the
 derivation commutes with the projector; with T present it does not, and the
 test suite pins the standard witness instead of pretending otherwise.
 
-Every ring derives from ``_Ring``, which holds the shared hooks: the
-schoolbook ``convolve`` over the ring's elements, coercion through the
-element class's ``_coerce``, the zero test and a zero coefficient
-derivative.  A ring declares its element class, name, zero, one and JSON
-form; Q keeps its own coercion, zero test and the integer kernel of arith.
+Over Q a series is stored in FLINT's ``fmpq_poly`` layout: a tuple of
+integer numerators over one positive integer denominator, normalized once
+per new series (leading zeros stripped as above, gcd(den, *nums) divided
+out).  That pair is canonical, so ``==`` and ``hash`` compare it exactly.
+Sums bring two windows to their least common denominator, products
+convolve the numerators on the integer loop of ``arith``, the projectors
+are slices, the derivative multiplies each numerator by its exponent, and
+``windows_agree`` cross-multiplies; none of them builds a ``Fraction``.
+``coeffs`` gives the Fractions, built on first read and kept; printing,
+JSON, ``terms`` and pickling go through it.  The regularized expansion
+hands its integer windows to the private ``_of_integers`` constructor.
+
+Every ring derives from ``_Ring``, which holds the shared hooks: coercion
+through the element class's ``_coerce``, the zero test and a zero
+coefficient derivative.  A ring declares its element class, name, zero,
+one and JSON form; Q keeps its own coercion and zero test.  Over Q(delta)
+``convolve`` is the schoolbook loop, one field multiply-add per
+coefficient pair.  Over Q[T] it brings the T-coefficients of each factor
+over one common denominator, convolves the integer T-polynomial rows and
+builds one ``Fraction`` per output T-coefficient.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from renzeta.arith import (
     DeltaRationalFunction,
-    _convolve_fractions,
+    _convolve_integers,
+    _convolve_rows,
+    _over_common_denominator,
     poly_add,
     poly_derivative,
     poly_format,
@@ -75,8 +93,8 @@ class InsufficientPrecision(PrecisionError):
 # ---------------------------------------------------------------------------
 # Coefficient rings.  A ring object bundles the element domain with the few
 # hooks the series needs; elements themselves stay plain values.  The product
-# hook ``convolve(a, b, n)`` returns the first n coefficients of the product
-# of two coefficient tuples.
+# hook ``convolve(a, b, n)`` of Q(delta) and Q[T] returns the first n
+# coefficients of the product of two coefficient tuples.
 
 class _Ring:
     """Hooks shared by the rings; see the module docstring.
@@ -87,16 +105,6 @@ class _Ring:
 
     def __reduce__(self):
         return self._singleton
-
-    def convolve(self, a, b, n):
-        """Schoolbook product, one ring multiply-add per coefficient pair."""
-        acc = [self.zero] * n
-        for i, ca in enumerate(a[:n]):
-            if self.is_zero(ca):
-                continue
-            for k, cb in enumerate(b[:n - i], i):
-                acc[k] = acc[k] + ca * cb
-        return acc
 
     def coerce(self, value):
         v = self.element._coerce(value)
@@ -117,11 +125,8 @@ class RationalField(_Ring):
     zero = Fraction(0)
     one = Fraction(1)
 
-    def convolve(self, a, b, n):
-        return _convolve_fractions(a, b, n)
-
     def coerce(self, value):
-        # runs on every coefficient of every series: Fraction first
+        # the public constructor runs it on every coefficient: Fraction first
         if isinstance(value, Fraction):
             return value
         if isinstance(value, int):
@@ -141,6 +146,16 @@ class DeltaFunctionField(_Ring):
     name = "Q(delta)"
     zero = DeltaRationalFunction(())
     one = DeltaRationalFunction((Fraction(1),))
+
+    def convolve(self, a, b, n):
+        """Schoolbook product, one field multiply-add per coefficient pair."""
+        acc = [self.zero] * n
+        for i, ca in enumerate(a[:n]):
+            if ca.is_zero():
+                continue
+            for k, cb in enumerate(b[:n - i], i):
+                acc[k] = acc[k] + ca * cb
+        return acc
 
     def coefficient_to_json(self, c):
         return c.to_json()
@@ -231,12 +246,30 @@ class TPolynomialRing(_Ring):
     zero = TPolynomial(())
     one = TPolynomial((Fraction(1),))
 
+    def convolve(self, a, b, n):
+        """First n coefficients of the product: the T-coefficients of each
+        factor over one common denominator, the integer T-polynomial rows
+        convolved, one Fraction per output T-coefficient."""
+        da, ra = _integer_rows(a[:n])
+        db, rb = _integer_rows(b[:n])
+        d = da * db
+        return [TPolynomial(tuple(Fraction(v, d) for v in row))
+                for row in _convolve_rows(ra, rb, n)]
+
     def coefficient_derivative(self, c):
         # d/d(eps) acts on T as 1/eps; the caller shifts the exponent down
         return c.derivative()
 
     def coefficient_to_json(self, c):
         return [str(x) for x in c.coeffs]
+
+
+def _integer_rows(polys) -> tuple:
+    """(den, rows): the T-polynomials polys as integer rows over one common
+    denominator."""
+    den = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
+    return den, [[c.numerator * (den // c.denominator) for c in p.coeffs]
+                 for p in polys]
 
 
 RATIONAL_FIELD = RationalField()
@@ -248,15 +281,30 @@ T = TPolynomial((Fraction(0), Fraction(1)))
 # ---------------------------------------------------------------------------
 # The series itself.
 
+def _q_row(s, lo: int, prec: int, f: int) -> list:
+    """f times the numerators of the Q series s on the exponents [lo, prec),
+    lo <= s.min_order and prec <= s.precision."""
+    k = prec - s.min_order
+    if k <= 0:
+        return [0] * (prec - lo)
+    return [0] * (s.min_order - lo) + [f * x for x in s._row[:k]]
+
+
 class TruncatedLaurentSeries:
     """Finitely many exact Laurent coefficients plus an O(eps^precision) tail.
 
     Invariants: at least one stored coefficient; the leading stored
     coefficient is nonzero unless the window holds nothing but zeros, in
     which case exactly one zero is stored and min_order = precision - 1.
+
+    ``_row`` is the stored window.  Over Q it holds integer numerators over
+    the positive integer ``_den``, with gcd(_den, *_row) = 1, and
+    ``_coeffs`` caches their Fractions once read; over the other rings it
+    holds the coefficients themselves, ``_den`` is None and ``_coeffs`` is
+    ``_row``.
     """
 
-    __slots__ = ("ring", "min_order", "coeffs")
+    __slots__ = ("ring", "min_order", "_row", "_den", "_coeffs")
 
     def __init__(self, ring, min_order: int, coeffs):
         # coerce: the public constructor also takes ints
@@ -269,9 +317,45 @@ class TruncatedLaurentSeries:
             first += 1
         if first == last and ring.is_zero(cs[last]):
             cs[last] = ring.zero
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "min_order", min_order + first)
-        object.__setattr__(self, "coeffs", tuple(cs[first:]))
+        cs = tuple(cs[first:])
+        row, den = cs, None
+        if ring is RATIONAL_FIELD:
+            den, row = _over_common_denominator(cs)
+            row = tuple(row)
+        _set = object.__setattr__
+        _set(self, "ring", ring)
+        _set(self, "min_order", min_order + first)
+        _set(self, "_row", row)
+        _set(self, "_den", den)
+        _set(self, "_coeffs", cs)
+
+    @classmethod
+    def _of_integers(cls, min_order: int, nums, den: int):
+        """The Q series nums[i] / den at eps^(min_order + i), den > 0:
+        leading zeros are stripped and gcd(den, *nums) divided out."""
+        first, last = 0, len(nums) - 1
+        while first < last and not nums[first]:
+            first += 1
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = [x // g for x in nums[first:]], den // g
+        elif first:
+            nums = nums[first:]
+        self = object.__new__(cls)
+        _set = object.__setattr__
+        _set(self, "ring", RATIONAL_FIELD)
+        _set(self, "min_order", min_order + first)
+        _set(self, "_row", tuple(nums))
+        _set(self, "_den", den)
+        _set(self, "_coeffs", None)
+        return self
+
+    def _with_row(self, min_order: int, row):
+        """A series of self's ring from a row in self's layout, over
+        self's denominator on Q."""
+        if self._den is None:
+            return TruncatedLaurentSeries(self.ring, min_order, row)
+        return TruncatedLaurentSeries._of_integers(min_order, row, self._den)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedLaurentSeries is immutable")
@@ -280,11 +364,24 @@ class TruncatedLaurentSeries:
         return TruncatedLaurentSeries, (self.ring, self.min_order, self.coeffs)
 
     @property
+    def coeffs(self) -> tuple:
+        """The stored coefficients, over Q as Fractions built on first read."""
+        cs = self._coeffs
+        if cs is None:
+            d = self._den
+            cs = tuple(Fraction(x, d) for x in self._row)
+            object.__setattr__(self, "_coeffs", cs)
+        return cs
+
+    @property
     def precision(self) -> int:
-        return self.min_order + len(self.coeffs)
+        return self.min_order + len(self._row)
 
     def is_zero_window(self) -> bool:
-        return all(self.ring.is_zero(c) for c in self.coeffs)
+        # the leading stored coefficient is zero only in the zero window
+        if self._den is not None:
+            return not self._row[0]
+        return self.ring.is_zero(self._row[0])
 
     def coefficient(self, exponent: int):
         """Exact coefficient of eps^exponent; errors above the window."""
@@ -294,7 +391,8 @@ class TruncatedLaurentSeries:
                 f"> {exponent}, have {self.precision}")
         if exponent < self.min_order:
             return self.ring.zero
-        return self.coeffs[exponent - self.min_order]
+        c = self._row[exponent - self.min_order]
+        return c if self._den is None else Fraction(c, self._den)
 
     # -- ring operations ----------------------------------------------------
 
@@ -306,12 +404,21 @@ class TruncatedLaurentSeries:
         if not isinstance(other, TruncatedLaurentSeries):
             return NotImplemented
         self._check_partner(other)
-        # both min_orders sit below both precisions, so lo < prec holds
+        # lo < prec: the window with the smaller precision starts below
+        # it; the other one may start at or above prec, and then adds
+        # nothing
         prec = min(self.precision, other.precision)
         lo = min(self.min_order, other.min_order)
-        out = [self.coefficient(k) + other.coefficient(k)
-               for k in range(lo, prec)]
-        return TruncatedLaurentSeries(self.ring, lo, out)
+        if self._den is None:
+            out = [self.coefficient(k) + other.coefficient(k)
+                   for k in range(lo, prec)]
+            return TruncatedLaurentSeries(self.ring, lo, out)
+        g = math.gcd(self._den, other._den)
+        fa, fb = other._den // g, self._den // g
+        return TruncatedLaurentSeries._of_integers(
+            lo, [x + y for x, y in zip(_q_row(self, lo, prec, fa),
+                                       _q_row(other, lo, prec, fb))],
+            self._den * fa)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedLaurentSeries):
@@ -319,8 +426,7 @@ class TruncatedLaurentSeries:
         return self + (-other)
 
     def __neg__(self):
-        return TruncatedLaurentSeries(
-            self.ring, self.min_order, [-c for c in self.coeffs])
+        return self._with_row(self.min_order, [-c for c in self._row])
 
     def __mul__(self, other):
         if isinstance(other, TruncatedLaurentSeries):
@@ -328,10 +434,14 @@ class TruncatedLaurentSeries:
             # the product is known below min(self.precision + other.min_order,
             # other.precision + self.min_order), that is for the shorter
             # window's length past its lowest exponent
-            n = min(len(self.coeffs), len(other.coeffs))
-            return TruncatedLaurentSeries(
-                self.ring, self.min_order + other.min_order,
-                self.ring.convolve(self.coeffs, other.coeffs, n))
+            n = min(len(self._row), len(other._row))
+            lo = self.min_order + other.min_order
+            if self._den is None:
+                return TruncatedLaurentSeries(
+                    self.ring, lo, self.ring.convolve(self._row, other._row, n))
+            return TruncatedLaurentSeries._of_integers(
+                lo, _convolve_integers(self._row, other._row, n),
+                self._den * other._den)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -341,8 +451,12 @@ class TruncatedLaurentSeries:
         c = self.ring.coerce(value)
         if self.ring.is_zero(c):
             return zero_series(self.ring, self.precision)
-        return TruncatedLaurentSeries(
-            self.ring, self.min_order, [c * x for x in self.coeffs])
+        if self._den is None:
+            return self._with_row(self.min_order, [c * x for x in self._row])
+        k = c.numerator
+        return TruncatedLaurentSeries._of_integers(
+            self.min_order, [k * x for x in self._row],
+            self._den * c.denominator)
 
     # -- the projector pair -------------------------------------------------
 
@@ -350,9 +464,15 @@ class TruncatedLaurentSeries:
         if self.precision < 0:
             raise IncompletePolePart(
                 f"{what} needs precision >= 0, have {self.precision}")
-        vals = [c if (k < 0) == poles else self.ring.zero
-                for k, c in self.terms()]
-        return TruncatedLaurentSeries(self.ring, self.min_order, vals)
+        row = self._row
+        # the first k stored coefficients sit at negative exponents
+        k = min(len(row), max(0, -self.min_order))
+        zero = self.ring.zero if self._den is None else 0
+        if poles:
+            row = row[:k] + (zero,) * (len(row) - k)
+        else:
+            row = (zero,) * k + row[k:]
+        return self._with_row(self.min_order, row)
 
     def pole_part(self) -> "TruncatedLaurentSeries":
         """Strictly negative exponents, exact; needs the window past eps^0.
@@ -381,9 +501,13 @@ class TruncatedLaurentSeries:
         the T ring each coefficient also contributes its own T-derivative
         at the lowered exponent, since T differentiates to 1/eps.
         """
-        ring = self.ring
+        ring, mo = self.ring, self.min_order
+        if self._den is not None:
+            return TruncatedLaurentSeries._of_integers(
+                mo - 1, [k * x for k, x in enumerate(self._row, mo)],
+                self._den)
         return TruncatedLaurentSeries(
-            ring, self.min_order - 1,
+            ring, mo - 1,
             [k * c + ring.coefficient_derivative(c) for k, c in self.terms()])
 
     # -- window management --------------------------------------------------
@@ -396,9 +520,8 @@ class TruncatedLaurentSeries:
                 f"to {new_precision}")
         if new_precision <= self.min_order:
             return zero_series(self.ring, new_precision)
-        return TruncatedLaurentSeries(
-            self.ring, self.min_order,
-            self.coeffs[: new_precision - self.min_order])
+        return self._with_row(
+            self.min_order, self._row[: new_precision - self.min_order])
 
     def terms(self):
         """Iterate (exponent, coefficient) over the stored window."""
@@ -412,14 +535,16 @@ class TruncatedLaurentSeries:
         return sum(float(c) * x ** k for k, c in self.terms())
 
     def __eq__(self, other):
+        # the Q layout is canonical, so equal values store equal integers
         if not isinstance(other, TruncatedLaurentSeries):
             return NotImplemented
         return (self.ring is other.ring
                 and self.min_order == other.min_order
-                and self.coeffs == other.coeffs)
+                and self._den == other._den
+                and self._row == other._row)
 
     def __hash__(self):
-        return hash((id(self.ring), self.min_order, self.coeffs))
+        return hash((id(self.ring), self.min_order, self._den, self._row))
 
     def __str__(self):
         parts = []
@@ -490,5 +615,8 @@ def windows_agree(a: TruncatedLaurentSeries,
         return False
     prec = min(a.precision, b.precision)
     lo = min(a.min_order, b.min_order)
-    return all(a.coefficient(k) == b.coefficient(k)
-               for k in range(lo, prec))
+    if a._den is None:
+        return all(a.coefficient(k) == b.coefficient(k)
+                   for k in range(lo, prec))
+    # x / a._den == y / b._den, cross-multiplied
+    return _q_row(a, lo, prec, b._den) == _q_row(b, lo, prec, a._den)

@@ -39,8 +39,9 @@ Over Q the recursion runs on integer windows: numerators over one shared
 denominator, the layout of FLINT's ``fmpq_poly``.  A product convolves the
 numerators on the integer loop of ``arith`` and multiplies denominators, a
 sum brings two windows to their least common denominator through one gcd,
-a binomial coefficient scales the numerators only, and one ``Fraction``
-per coefficient is built at the root.
+a binomial coefficient scales the numerators only, and the root hands its
+numerators and denominator to the Q series, which keeps the same layout
+and divides out their common content once; no ``Fraction`` is built.
 
 Over Q(delta) the recursion runs on integer windows too.
 ``hopf._check_direction`` admits only delta-polynomial directions, so every
@@ -111,6 +112,7 @@ from renzeta.arith import (
     DELTA,
     DeltaRationalFunction,
     _convolve_integers,
+    _convolve_rows,
     _over_common_denominator,
     _poly_times,
     _row_sum,
@@ -287,10 +289,8 @@ class _QWindow:
         return _QWindow(self.min_order, [c * x for x in self.nums], self.den)
 
     def series(self) -> TruncatedLaurentSeries:
-        d = self.den
-        return TruncatedLaurentSeries(
-            RATIONAL_FIELD, self.min_order,
-            [Fraction(v, d) for v in self.nums])
+        return TruncatedLaurentSeries._of_integers(
+            self.min_order, self.nums, self.den)
 
 
 def _power(powers, p, k) -> list:
@@ -323,12 +323,7 @@ class _DeltaWindow:
 
     def __mul__(self, other):
         n = min(len(self.nums), len(other.nums))
-        rows = [[] for _ in range(n)]
-        for i, x in enumerate(self.nums[:n]):
-            if x:
-                for j, y in enumerate(other.nums[:n - i], i):
-                    if y:
-                        rows[j] = _row_sum(rows[j], 1, _poly_times(x, y), 1)
+        rows = _convolve_rows(self.nums, other.nums, n)
         factors = dict(self.factors)
         for p, k in other.factors.items():
             factors[p] = factors.get(p, 0) + k

@@ -8,6 +8,7 @@ sides.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import product as iproduct
@@ -35,6 +36,7 @@ from renzeta.laurent import (
     RATIONAL_FIELD,
     T,
     T_POLY_RING,
+    TPolynomial,
     TruncatedLaurentSeries,
     series_from_terms,
     windows_agree,
@@ -122,9 +124,12 @@ def suite_hopf(max_weight: int = 4, seed: int = 0) -> list:
         "product-oracle", f"all |u|+|v| <= {max_weight}", oracle_cases()))
 
     def sampled_pairs(count, bound):
+        # two nonempty words weigh at least 2: a lower bound admits no pair
+        if bound < 2:
+            return
         for _ in range(count):
-            lu = rng.randint(1, max(1, bound - 1))
-            lv = rng.randint(1, max(1, bound - lu))
+            lu = rng.randint(1, bound - 1)
+            lv = rng.randint(1, bound - lu)
             u = Word(rng.choice(_LETTERS) for _ in range(lu))
             v = Word(rng.choice(_LETTERS) for _ in range(lv))
             yield u, v
@@ -226,15 +231,22 @@ def suite_hopf(max_weight: int = 4, seed: int = 0) -> list:
 # Series algebra.
 
 def _random_series(rng, ring=RATIONAL_FIELD):
+    """n coefficients from eps^mo on: a T + b over Q[T], p/q over Q, built
+    straight into the series' layout."""
     mo = rng.randint(-2, 0)
     n = rng.randint(5, 8)
     if ring is T_POLY_RING:
         def coeff():
-            return T * rng.randint(-3, 3) + rng.randint(-3, 3)
-    else:
-        def coeff():
-            return F(rng.randint(-9, 9), rng.randint(1, 9))
-    return TruncatedLaurentSeries(ring, mo, [coeff() for _ in range(n)])
+            a = rng.randint(-3, 3)
+            return TPolynomial((rng.randint(-3, 3), a))
+        return TruncatedLaurentSeries(ring, mo, [coeff() for _ in range(n)])
+    # p then q for each coefficient, with no pair tuple per coefficient
+    draws = [rng.randint(lo, hi) for _ in range(n)
+             for lo, hi in ((-9, 9), (1, 9))]
+    ps, qs = draws[0::2], draws[1::2]
+    den = math.lcm(*qs)
+    return TruncatedLaurentSeries._of_integers(
+        mo, [p * (den // q) for p, q in zip(ps, qs)], den)
 
 
 def suite_rota_baxter(max_weight: int = 4, seed: int = 0) -> list:

@@ -241,6 +241,17 @@ def test_verify_fails_when_no_case_was_checked(capsys):
         capsys, ["verify", "--suite", "hopf", "--max-weight", "-3"])
     assert rc == cli.EXIT_VERIFY
     assert "FAIL product-oracle: all |u|+|v| <= -3" in out
+    # two nonempty words weigh at least 2, so below that no pair is sampled
+    for bound in ("-3", "1"):
+        rc, out, _ = run(
+            capsys, ["verify", "--suite", "hopf", "--max-weight", bound])
+        assert rc == cli.EXIT_VERIFY
+        lines = out.splitlines()
+        for check in ("product-commutativity",
+                      "coproduct-multiplicativity"):
+            assert any(line.startswith(f"FAIL {check}:")
+                       and "0 cases agree" in line for line in lines), \
+                (bound, check, out)
     for suite in ("birkhoff", "differential", "all"):
         rc, out, err = run(
             capsys, ["verify", "--suite", suite, "--max-weight", "0"])

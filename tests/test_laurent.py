@@ -1,6 +1,8 @@
 """Series layer: windows, the pole projector, and the extended derivation."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -393,8 +395,188 @@ class TestRationalKernel:
         prec, nonzero = schoolbook_product(a, b)
         assert p.precision == prec
         assert {e: c for e, c in p.terms() if c != 0} == nonzero
-        # the generic ring loop over constant T-polynomials
+        # the Q[T] kernel over constant T-polynomials
         t = lifted(a) * lifted(b)
         assert t.min_order == p.min_order
         assert [c.coeffs[0] if c.coeffs else F(0) for c in t.coeffs] \
             == list(p.coeffs)
+
+
+class TestSumReachingPastAWindow:
+    @pytest.mark.parametrize("ring", [RATIONAL_FIELD, DELTA_FIELD,
+                                      T_POLY_RING])
+    def test_min_order_at_or_above_the_partners_precision(self, ring):
+        # the first window starts at 0, at and above the second's
+        # precision -1: the sum is known on [-2, -1) only, where both vanish
+        a = TruncatedLaurentSeries(ring, 0, [1, 0])
+        b = TruncatedLaurentSeries(ring, -2, [0])
+        for s in (a + b, b + a, a - b):
+            assert s.ring is ring
+            assert s.is_zero_window() and s.precision == -1
+            assert s == zero_series(ring, -1)
+
+
+# The Q series store integer numerators over one denominator; these tests
+# compare every operation with the coefficient-by-coefficient result over
+# Fractions, computed from the raw constructor input.
+
+def fraction_window(lo, vals):
+    """(min_order, coefficients) of a window in the documented normal
+    form: leading zeros dropped, a zero window kept as its last slot."""
+    vals = [F(v) for v in vals]
+    first = 0
+    while first < len(vals) - 1 and vals[first] == 0:
+        first += 1
+    return lo + first, tuple(vals[first:])
+
+
+def fraction_coefficient(w, k):
+    lo, vals = w
+    return vals[k - lo] if k >= lo else F(0)
+
+
+def fraction_precision(w):
+    return w[0] + len(w[1])
+
+
+def fraction_sum(a, b):
+    lo = min(a[0], b[0])
+    prec = min(fraction_precision(a), fraction_precision(b))
+    return fraction_window(lo, [fraction_coefficient(a, k)
+                                + fraction_coefficient(b, k)
+                                for k in range(lo, prec)])
+
+
+def fraction_product(a, b):
+    n = min(len(a[1]), len(b[1]))
+    out = [F(0)] * n
+    for i, x in enumerate(a[1][:n]):
+        for j, y in enumerate(b[1][:n - i]):
+            out[i + j] += x * y
+    return fraction_window(a[0] + b[0], out)
+
+
+def fraction_scale(a, c):
+    if c == 0:
+        return fraction_window(fraction_precision(a) - 1, [0])
+    return fraction_window(a[0], [c * x for x in a[1]])
+
+
+def fraction_projection(a, poles):
+    return fraction_window(a[0], [x if (k < 0) == poles else F(0)
+                                  for k, x in enumerate(a[1], a[0])])
+
+
+def fraction_derivative(a):
+    return fraction_window(a[0] - 1, [k * x for k, x in enumerate(a[1],
+                                                                    a[0])])
+
+
+def fraction_truncated(a, prec):
+    if prec <= a[0]:
+        return fraction_window(prec - 1, [0])
+    return fraction_window(a[0], a[1][:prec - a[0]])
+
+
+q_value = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12))
+
+# leading zeros, all-zero windows, negative min_order and precision <= 0
+raw_q_window = st.tuples(
+    st.integers(min_value=-6, max_value=2),
+    st.builds(lambda zeros, vals: [F(0)] * zeros + vals,
+              st.integers(min_value=0, max_value=3),
+              st.lists(q_value, min_size=1, max_size=6)))
+
+
+def check_against(series, window):
+    """series holds exactly window, reads as Fractions, and is the value
+    the public constructor builds from it."""
+    assert (series.min_order, series.coeffs) == window
+    assert all(type(c) is F for c in series.coeffs)
+    built = TruncatedLaurentSeries(Q, *window)
+    assert built == series and hash(built) == hash(series)
+    assert series.is_zero_window() == all(c == 0 for c in window[1])
+
+
+class TestIntegerLayoutAgainstFractions:
+    @given(raw_q_window, raw_q_window)
+    @settings(max_examples=200, deadline=None)
+    def test_ring_operations(self, ra, rb):
+        a, b = (TruncatedLaurentSeries(Q, *r) for r in (ra, rb))
+        wa, wb = fraction_window(*ra), fraction_window(*rb)
+        check_against(a, wa)
+        check_against(a + b, fraction_sum(wa, wb))
+        neg_b = fraction_scale(wb, F(-1))
+        check_against(-b, neg_b)
+        check_against(a - b, fraction_sum(wa, neg_b))
+        check_against(a * b, fraction_product(wa, wb))
+        lo = min(wa[0], wb[0])
+        prec = min(fraction_precision(wa), fraction_precision(wb))
+        assert windows_agree(a, b) == all(
+            fraction_coefficient(wa, k) == fraction_coefficient(wb, k)
+            for k in range(lo, prec))
+        assert (a == b) == (wa == wb)
+
+    @given(raw_q_window, st.integers(min_value=-9, max_value=9),
+           st.integers(min_value=1, max_value=9))
+    @settings(max_examples=200, deadline=None)
+    def test_unary_operations(self, ra, p, q):
+        a = TruncatedLaurentSeries(Q, *ra)
+        wa = fraction_window(*ra)
+        check_against(a.scale(0), fraction_scale(wa, F(0)))
+        check_against(a.scale(-F(p, q)), fraction_scale(wa, -F(p, q)))
+        check_against(a.derivative(), fraction_derivative(wa))
+        for prec in range(fraction_precision(wa) - 3,
+                          fraction_precision(wa) + 1):
+            check_against(a.truncated(prec), fraction_truncated(wa, prec))
+        for k in range(wa[0] - 2, fraction_precision(wa)):
+            c = a.coefficient(k)
+            assert type(c) is F and c == fraction_coefficient(wa, k)
+        if fraction_precision(wa) < 0:
+            with pytest.raises(IncompletePolePart):
+                a.pole_part()
+            with pytest.raises(IncompletePolePart):
+                a.finite_part()
+        else:
+            check_against(a.pole_part(), fraction_projection(wa, True))
+            check_against(a.finite_part(), fraction_projection(wa, False))
+
+    @given(raw_q_window)
+    @settings(max_examples=100, deadline=None)
+    def test_pickle_and_copy_round_trip(self, ra):
+        a = TruncatedLaurentSeries(Q, *ra) * rational_series({0: 1}, 9)
+        for b in (pickle.loads(pickle.dumps(a)), copy.copy(a),
+                  copy.deepcopy(a)):
+            assert b == a and hash(b) == hash(a)
+            assert b.coeffs == a.coeffs and b.ring is Q
+
+
+t_coefficient = st.builds(
+    lambda cs: TPolynomial(tuple(cs)),
+    st.lists(st.one_of(st.just(F(0)),
+                       st.fractions(min_value=-9, max_value=9,
+                                    max_denominator=7)),
+             max_size=4))
+
+t_window = st.builds(
+    lambda lo, vals: TruncatedLaurentSeries(T_POLY_RING, lo, vals),
+    st.integers(min_value=-3, max_value=2),
+    st.lists(t_coefficient, min_size=1, max_size=6))
+
+
+class TestTKernel:
+    @given(t_window, t_window)
+    @settings(max_examples=150, deadline=None)
+    def test_product_matches_a_schoolbook_loop(self, a, b):
+        n = min(len(a.coeffs), len(b.coeffs))
+        want = [T_POLY_RING.zero] * n
+        for i, x in enumerate(a.coeffs[:n]):
+            for j, y in enumerate(b.coeffs[:n - i]):
+                want[i + j] = want[i + j] + x * y
+        p = a * b
+        assert p == TruncatedLaurentSeries(
+            T_POLY_RING, a.min_order + b.min_order, want)
+        assert all(type(c) is TPolynomial for c in p.coeffs)
+        assert all(type(v) is F for c in p.coeffs for v in c.coeffs)
