@@ -22,26 +22,23 @@ Directions live either in Q (strictly positive) or in Q(delta) restricted to
 delta-polynomials with nonnegative coefficients and not identically zero, so
 positivity for all small delta > 0 is decidable coefficientwise.
 
-Equal words are one object.  ``Word(...)`` checks its letters, and every
-word the layer builds itself (slices, concatenations, shuffle and derivation
-terms) skips the check; both return the canonical word of the letter tuple
-from the process-wide table ``_WORDS``, unbounded like the memo below; it
-holds 2821 words after the seed-0 benchmark ``verify`` pass.  A word hashes
-its letters once, at creation, and letters cache their hash too, since words
-key the memo below and the dicts downstream.  Letters with a constant
-delta-polynomial direction differ from letters with the equal rational
-direction, so the table and the memo keep the two coefficient rings apart.
+Equality is identity.  ``Letter(s, r)`` and ``Word(...)`` check their
+input and return its one object from the process-wide tables ``_LETTERS``
+and ``_WORDS``.  Words the layer builds itself (slices, concatenations,
+shuffle and derivation terms) come unchecked from ``_WORDS``, merged and
+lowered letters from memos over ``Letter``, and copies and pickles through
+the constructors.  So letters and words compare and hash by identity, in C.
+A constant delta-polynomial direction and the equal rational make two
+letters, since they pick different coefficient rings.  The tables are
+unbounded, like the memos: after the seed-0 benchmark ``verify`` pass they
+hold 42 letters and 2821 words.  Both insert with ``dict.setdefault``, so
+threads building one letter or word at once all get the stored object.
 
-``_shuffle_nonempty`` memoizes the product of two nonempty words in a
-process-wide, unbounded ``functools.cache`` (``cache_info()`` gives size and
-hits; the seed-0 ``verify`` pass ends with 2041 entries, 4890 of 6931
-lookups hits); ``_shuffle_words`` answers the empty-word cases without it.
-Its dicts of canonical words and integer multiplicities are shared, so
-callers must not mutate them.  Threads may call it at once, at worst
-computing a value twice or making two objects for one word, which stay
-equal.  Integral coefficients are summed and multiplied as ints inside the
-layer; ``HopfElement`` turns them back into Fractions, so every coefficient
-it holds is a Fraction or a delta-rational function.
+``_shuffle_nonempty`` memoizes the product of two nonempty words (2041
+entries, 4890 of 6931 lookups hits after that pass; ``_merged`` holds 56
+merges); its dicts are shared and not to be mutated, and threads may compute
+one twice.  Elements keep coefficients in ``_terms``, ints where integral;
+the algebra runs on those, and ``terms`` builds its Fractions on first read.
 """
 
 from __future__ import annotations
@@ -91,42 +88,37 @@ def _direction_key(r):
 
 
 class Letter:
-    """One tensor slot: integer exponent s, positive direction r."""
+    """One tensor slot: integer exponent s, positive direction r; the
+    constructor checks both and returns the one letter of the pair."""
 
-    __slots__ = ("s", "r", "_hash")
+    __slots__ = ("s", "r")
 
-    def __init__(self, s: int, r):
+    def __new__(cls, s: int, r):
         if not isinstance(s, int):
             raise TypeError("exponent must be an integer")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "r", _check_direction(r))
+        r = _check_direction(r)
         # hash(-1) == hash(-2), so exponents enter as 2s + 1; the flag
         # keeps a constant delta-polynomial apart from its rational
-        object.__setattr__(self, "_hash", hash(
-            (2 * s + 1, self.r, isinstance(self.r, Fraction))))
+        key = (2 * s + 1, r, type(r) is Fraction)
+        letter = _LETTERS.get(key)
+        if letter is None:
+            letter = object.__new__(cls)
+            object.__setattr__(letter, "s", s)
+            object.__setattr__(letter, "r", r)
+            letter = _LETTERS.setdefault(key, letter)
+        return letter
 
     def __setattr__(self, name, value):
         raise AttributeError("Letter is immutable")
 
     def __reduce__(self):
+        # copies and pickles come back as the canonical letter
         return Letter, (self.s, self.r)
 
     def __mul__(self, other: "Letter") -> "Letter":
         if not isinstance(other, Letter):
             return NotImplemented
-        return Letter(self.s + other.s, self.r + other.r)
-
-    def __eq__(self, other):
-        if not isinstance(other, Letter):
-            return NotImplemented
-        # a constant delta-polynomial equals its rational, but the two
-        # directions pick different coefficient rings, so their letters
-        # differ
-        return self.s == other.s and type(self.r) is type(other.r) \
-            and self.r == other.r
-
-    def __hash__(self):
-        return self._hash
+        return _merged(self, other)
 
     def sort_key(self):
         return (self.s, _direction_key(self.r))
@@ -138,14 +130,17 @@ class Letter:
         return f"Letter({self.s}, {self.r!r})"
 
 
+@cache
+def _merged(a: Letter, b: Letter) -> Letter:
+    """The merge of two letters, made once per ordered pair."""
+    return Letter(a.s + b.s, a.r + b.r)
+
+
 class Word:
-    """A finite tensor word; the empty word is the algebra unit.
+    """A finite tensor word; the empty word is the algebra unit.  The
+    constructor checks the letters and returns the one word of them."""
 
-    Equal words are one object: the constructor checks the letters and
-    returns the canonical word of their tuple (module docstring).
-    """
-
-    __slots__ = ("letters", "_hash")
+    __slots__ = ("letters",)
 
     def __new__(cls, letters=()):
         ls = tuple(letters)
@@ -180,14 +175,6 @@ class Word:
         if not isinstance(other, Word):
             return NotImplemented
         return _word(self.letters + other.letters)
-
-    def __eq__(self, other):
-        if not isinstance(other, Word):
-            return NotImplemented
-        return self.letters == other.letters
-
-    def __hash__(self):
-        return self._hash
 
     def sort_key(self):
         return (len(self.letters), tuple(l.sort_key() for l in self.letters))
@@ -227,6 +214,7 @@ class Word:
         return cls(letters)
 
 
+_LETTERS: dict = {}
 _WORDS: dict = {}
 
 
@@ -237,8 +225,7 @@ def _word(letters: tuple) -> Word:
     if word is None:
         word = object.__new__(Word)
         object.__setattr__(word, "letters", letters)
-        object.__setattr__(word, "_hash", hash(letters))
-        _WORDS[letters] = word
+        word = _WORDS.setdefault(letters, word)
     return word
 
 
@@ -261,12 +248,17 @@ def _format_direction(r) -> str:
 
 
 def _collect(pairs) -> dict:
-    """Sum (key, coefficient) pairs per key; drop the zero sums."""
+    """Sum (key, coefficient) pairs per key in one pass, integral sums as
+    ints; a key whose sum is zero is dropped."""
     out = {}
     for key, c in pairs:
         prev = out.get(key)
-        out[key] = c if prev is None else prev + c
-    return {key: c for key, c in out.items() if c != 0}
+        c = _integral(c if prev is None else prev + c)
+        if c:
+            out[key] = c
+        else:
+            out.pop(key, None)
+    return out
 
 
 def _integral(c):
@@ -278,25 +270,42 @@ def _integral(c):
 
 
 def _coefficient(c):
-    """Inverse of _integral at the element boundary: ints become
-    Fractions."""
+    """Inverse of _integral for the public terms: ints become Fractions."""
     return Fraction(c) if isinstance(c, int) else c
 
 
 class HopfElement:
-    """Finite linear combination of words; the product is quasi-shuffle."""
+    """Finite linear combination of words; the product is quasi-shuffle.
+    ``terms`` (Fractions or delta functions) is built on first read from
+    ``_terms``, which keeps integral coefficients as ints."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms", "_public")
 
     def __init__(self, terms=None):
-        object.__setattr__(self, "terms", {
-            w: _coefficient(c) for w, c in (terms or {}).items() if c != 0})
+        object.__setattr__(self, "_terms", {
+            w: _integral(c) for w, c in (terms or {}).items() if c != 0})
+
+    @classmethod
+    def _of(cls, terms: dict) -> "HopfElement":
+        """The element of a dict in the form of ``_terms``, not copied."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "_terms", terms)
+        return x
+
+    @property
+    def terms(self) -> dict:
+        try:
+            return self._public
+        except AttributeError:
+            public = {w: _coefficient(c) for w, c in self._terms.items()}
+            object.__setattr__(self, "_public", public)
+            return public
 
     def __setattr__(self, name, value):
         raise AttributeError("HopfElement is immutable")
 
     def __reduce__(self):
-        return HopfElement, (self.terms,)
+        return HopfElement, (self._terms,)
 
     @classmethod
     def zero(cls) -> "HopfElement":
@@ -304,28 +313,26 @@ class HopfElement:
 
     @classmethod
     def unit(cls) -> "HopfElement":
-        return cls({EMPTY_WORD: Fraction(1)})
+        return cls({EMPTY_WORD: 1})
 
     @classmethod
     def from_word(cls, word: Word, coeff=1) -> "HopfElement":
         return cls({word: coeff})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda wc: wc[0].sort_key())
 
     def coefficient(self, word: Word):
-        return self.terms.get(word, Fraction(0))
+        return _coefficient(self._terms.get(word, 0))
 
     def __add__(self, other):
         if not isinstance(other, HopfElement):
             return NotImplemented
-        return HopfElement(_collect(
-            (w, _integral(c))
-            for terms in (self.terms, other.terms)
-            for w, c in terms.items()))
+        return HopfElement._of(_collect(
+            pair for x in (self, other) for pair in x._terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, HopfElement):
@@ -333,10 +340,10 @@ class HopfElement:
         return self + (-other)
 
     def __neg__(self):
-        return HopfElement({w: -c for w, c in self.terms.items()})
+        return HopfElement._of({w: -c for w, c in self._terms.items()})
 
     def scale(self, coeff) -> "HopfElement":
-        return HopfElement({w: coeff * c for w, c in self.terms.items()})
+        return HopfElement({w: coeff * c for w, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, HopfElement):
@@ -349,10 +356,10 @@ class HopfElement:
     def __eq__(self, other):
         if not isinstance(other, HopfElement):
             return NotImplemented
-        return self.terms == other.terms
+        return self._terms == other._terms
 
     def __str__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
         parts = []
         for w, c in self.sorted_terms():
@@ -390,10 +397,10 @@ def _shuffle_nonempty(u: Word, v: Word) -> dict:
 def quasi_shuffle(x: HopfElement, y: HopfElement) -> HopfElement:
     """Bilinear extension of the recursive interleave-or-merge product."""
     pairs = []
-    for (wu, cu), (wv, cv) in product(x.terms.items(), y.terms.items()):
-        c = _integral(cu) * _integral(cv)
+    for (wu, cu), (wv, cv) in product(x._terms.items(), y._terms.items()):
+        c = cu * cv
         pairs.extend((w, m * c) for w, m in _shuffle_words(wu, wv).items())
-    return HopfElement(_collect(pairs))
+    return HopfElement._of(_collect(pairs))
 
 
 def mixable_shuffle_direct(u: Word, v: Word) -> HopfElement:
@@ -424,7 +431,7 @@ def mixable_shuffle_direct(u: Word, v: Word) -> HopfElement:
                         slots.append(v[vi[slot]])
                 w = Word(slots)
                 out[w] = out.get(w, 0) + 1
-    return HopfElement(out)
+    return HopfElement._of(out)
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +439,15 @@ def mixable_shuffle_direct(u: Word, v: Word) -> HopfElement:
 
 def coproduct(word: Word) -> tuple:
     """All deconcatenation splits (prefix, suffix), unit ones included."""
-    return tuple((word[:i], word[i:]) for i in range(len(word) + 1))
+    ls = word.letters
+    return tuple((_word(ls[:i]), _word(ls[i:])) for i in range(len(ls) + 1))
 
 
 def reduced_coproduct(word: Word) -> tuple:
     """Proper splits only; undefined on the empty word."""
     if len(word) == 0:
         raise ValueError("the empty word has no reduced coproduct")
-    return tuple((word[:i], word[i:]) for i in range(1, len(word)))
+    return coproduct(word)[1:-1]
 
 
 def counit(x: HopfElement):
@@ -448,9 +456,10 @@ def counit(x: HopfElement):
 
 
 def element_coproduct(x: HopfElement) -> dict:
-    """Linear extension of the coproduct: {(prefix, suffix): coefficient}."""
-    return _collect(
-        (pair, c) for w, c in x.terms.items() for pair in coproduct(w))
+    """Linear extension of the coproduct: {(prefix, suffix): coefficient};
+    a split determines its word, so no pair repeats."""
+    return {pair: _coefficient(c) for w, c in x._terms.items()
+            for pair in coproduct(w)}
 
 
 def tensor_quasi_shuffle(t1: dict, t2: dict) -> dict:
@@ -471,8 +480,7 @@ def tensor_quasi_shuffle(t1: dict, t2: dict) -> dict:
 @cache
 def _lowered(letter: Letter) -> tuple:
     """(the letter with its exponent lowered by one, its direction as a
-    multiplicity); one lowered letter per letter keeps derived words'
-    letters shared."""
+    multiplicity), made once per letter."""
     return Letter(letter.s - 1, letter.r), _integral(letter.r)
 
 
@@ -482,9 +490,9 @@ def differentiate(x) -> HopfElement:
     if isinstance(x, Word):
         x = HopfElement.from_word(x)
     pairs = []
-    for w, c in x.terms.items():
-        c, ls = _integral(c), w.letters
+    for w, c in x._terms.items():
+        ls = w.letters
         for i, l in enumerate(ls):
             low, weight = _lowered(l)
             pairs.append((_word(ls[:i] + (low,) + ls[i + 1:]), c * weight))
-    return HopfElement(_collect(pairs))
+    return HopfElement._of(_collect(pairs))

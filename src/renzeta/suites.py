@@ -126,24 +126,27 @@ def suite_hopf(max_weight: int = 4, seed: int = 0) -> list:
     def sampled_pairs(count, bound):
         # two nonempty words weigh at least 2: a lower bound admits no pair
         if bound < 2:
-            return
+            return []
+        out = []
         for _ in range(count):
             lu = rng.randint(1, bound - 1)
             lv = rng.randint(1, bound - lu)
             u = Word(rng.choice(_LETTERS) for _ in range(lu))
             v = Word(rng.choice(_LETTERS) for _ in range(lv))
-            yield u, v
+            out.append((u, v))
+        return out
 
-    def commutativity_cases():
-        for u, v in sampled_pairs(100, max_weight):
+    def commutativity_cases(pairs):
+        for u, v in pairs:
             x = HopfElement.from_word(u)
             y = HopfElement.from_word(v)
             got, want = x * y, y * x
             yield f"{u} * {v}", got == want, got, want
 
+    pairs = sampled_pairs(100, max_weight)
     reports.append(_aggregate(
-        "product-commutativity", "100 sampled pairs",
-        commutativity_cases()))
+        "product-commutativity", f"{len(pairs)} sampled pairs",
+        commutativity_cases(pairs)))
 
     def associativity_cases():
         for _ in range(50):
@@ -158,8 +161,8 @@ def suite_hopf(max_weight: int = 4, seed: int = 0) -> list:
         "product-associativity", "50 sampled triples",
         associativity_cases()))
 
-    def coproduct_cases():
-        for u, v in sampled_pairs(200, max_weight):
+    def coproduct_cases(pairs):
+        for u, v in pairs:
             x = HopfElement.from_word(u)
             y = HopfElement.from_word(v)
             got = element_coproduct(x * y)
@@ -167,9 +170,10 @@ def suite_hopf(max_weight: int = 4, seed: int = 0) -> list:
                 element_coproduct(x), element_coproduct(y))
             yield f"{u} * {v}", got == want, len(got), len(want)
 
+    pairs = sampled_pairs(200, max_weight)
     reports.append(_aggregate(
-        "coproduct-multiplicativity", "200 sampled pairs",
-        coproduct_cases()))
+        "coproduct-multiplicativity", f"{len(pairs)} sampled pairs",
+        coproduct_cases(pairs)))
 
     def counit_cases():
         for w in _words_up_to(min(max_weight, 4), include_empty=True):

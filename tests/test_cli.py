@@ -266,6 +266,21 @@ def test_verify_fails_when_no_case_was_checked(capsys):
                for line in out.splitlines())
 
 
+def test_verify_hopf_labels_count_the_pairs_drawn(capsys):
+    rc, out, err = run(
+        capsys, ["verify", "--suite", "hopf", "--max-weight", "1"])
+    assert rc == cli.EXIT_VERIFY and err == ""
+    lines = out.splitlines()
+    for check in ("product-commutativity", "coproduct-multiplicativity"):
+        assert f"FAIL {check}: 0 sampled pairs: 0 cases agree != " \
+            "at least one case" in lines, out
+    rc, out, _ = run(
+        capsys, ["verify", "--suite", "hopf", "--max-weight", "2"])
+    assert rc == 0
+    assert "ok product-commutativity: 100 sampled pairs" in out
+    assert "ok coproduct-multiplicativity: 200 sampled pairs" in out
+
+
 # ---------------------------------------------------------------------------
 # table
 

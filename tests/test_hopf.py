@@ -1,10 +1,14 @@
 """Word algebra: product, coproduct, derivation, and their compatibilities."""
 
+import copy
+import pickle
+import sys
+import threading
 from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renzeta import hopf
@@ -455,3 +459,163 @@ class TestSerialization:
     def test_element_text(self):
         x = HopfElement({W([(0, 1), (0, 1)]): F(2), W([(0, 2)]): 1})
         assert str(x) == "(0,2) + 2·(0,1)(0,1)"
+
+
+class TestLetterIdentity:
+    def test_every_route_gives_one_letter(self):
+        letter = Letter(0, 1)
+        routes = {
+            "int direction": Letter(0, 1),
+            "Fraction direction": Letter(0, F(1)),
+            "parse": Word.parse("(0,1)")[0],
+            "from_pairs": W([(0, 1)])[0],
+            "product": Letter(0, F(1, 2)) * Letter(0, F(1, 2)),
+            "lowered": hopf._lowered(Letter(1, 1))[0],
+            "copy": copy.copy(letter),
+            "deepcopy": copy.deepcopy(letter),
+            "pickle": pickle.loads(pickle.dumps(letter)),
+        }
+        for name, other in routes.items():
+            assert other is letter, name
+
+    def test_constant_delta_letter_is_another_object(self):
+        const = DELTA.from_rational(F(1))
+        assert Letter(0, const) is not Letter(0, 1)
+        assert Letter(0, const) is Letter(0, DELTA.from_rational(1))
+        assert type(Letter(0, const).r) is DeltaRationalFunction
+        assert type(Letter(0, 1).r) is Fraction
+
+    def test_letters_are_immutable(self):
+        with pytest.raises(AttributeError):
+            Letter(0, 1).s = 1
+
+
+class TestCanonicalTablesUnderThreads:
+    THREADS = 4
+
+    def test_threads_get_one_object_per_letter_and_word(self):
+        # exponents no other test builds, so every object here is new
+        pairs = [(-1000 - i, F(7, 3)) for i in range(400)]
+        barrier = threading.Barrier(self.THREADS, timeout=60)
+        results = [None] * self.THREADS
+
+        def build(slot):
+            barrier.wait()
+            letters = [Letter(s, r) for s, r in pairs]
+            barrier.wait()
+            words = [Word(letters[i:i + 3]) for i in range(len(letters))]
+            results[slot] = (letters, words)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(k,))
+                       for k in range(self.THREADS)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        first_letters, first_words = results[0]
+        for letters, words in results[1:]:
+            assert all(a is b for a, b in zip(letters, first_letters))
+            assert all(a is b for a, b in zip(words, first_words))
+        assert first_letters[0] is Letter(*pairs[0])
+        assert first_words[0] is W(pairs[:3])
+
+
+def _delta_value(a, b):
+    return a + b * DELTA
+
+
+coefficients_strategy = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.builds(F, st.integers(-5, 5).filter(bool), st.sampled_from([2, 3]))
+    .filter(lambda f: f.denominator > 1),
+    st.builds(_delta_value, st.integers(-2, 2),
+              st.integers(-2, 2).filter(bool)))
+mixed_letters_strategy = st.sampled_from(
+    [Letter(s, r) for s, r in ALPHABET + [HALF, DELTA_LETTER]])
+elements_strategy = st.dictionaries(
+    st.builds(Word, st.lists(mixed_letters_strategy, max_size=2)),
+    coefficients_strategy, max_size=3)
+
+
+def _oracle_sum(*terms_and_signs):
+    out = {}
+    for terms, sign in terms_and_signs:
+        for w, c in terms.items():
+            out[w] = out.get(w, F(0)) + sign * c
+    return {w: c for w, c in out.items() if c != 0}
+
+
+def _oracle_product(xt, yt):
+    out = {}
+    for (u, cu), (v, cv) in iproduct(xt.items(), yt.items()):
+        for w, m in mixable_shuffle_direct(u, v).terms.items():
+            out[w] = out.get(w, F(0)) + cu * cv * F(m)
+    return {w: c for w, c in out.items() if c != 0}
+
+
+def _oracle_derivative(xt):
+    out = {}
+    for w, c in xt.items():
+        pairs = [(l.s, l.r) for l in w]
+        for i, (s, r) in enumerate(pairs):
+            low = W(pairs[:i] + [(s - 1, r)] + pairs[i + 1:])
+            out[low] = out.get(low, F(0)) + c * r
+    return {w: c for w, c in out.items() if c != 0}
+
+
+def _oracle_coproduct(xt):
+    out = {}
+    for w, c in xt.items():
+        ls = list(w)
+        for i in range(len(ls) + 1):
+            pair = (Word(ls[:i]), Word(ls[i:]))
+            out[pair] = out.get(pair, F(0)) + c
+    return {k: c for k, c in out.items() if c != 0}
+
+
+class TestIntegerMultiplicities:
+    """Elements keep integral multiplicities as ints; every operation must
+    agree with a Fraction-only oracle and hand out Fractions or delta
+    functions."""
+
+    @given(elements_strategy, elements_strategy)
+    # 1/2 times the multiplicity 2 of (0,1)(0,1) in (0,1) * (0,1) is 1
+    @example({W([(0, 1)]): F(1, 2)}, {W([(0, 1)]): 1})
+    @settings(max_examples=60, deadline=None)
+    def test_operations_match_the_fraction_oracle(self, xd, yd):
+        fractions = [{w: F(c) if isinstance(c, int) else c
+                      for w, c in d.items()} for d in (xd, yd)]
+        xt, yt = fractions
+        x, y = HopfElement(xd), HopfElement(yd)
+        assert x.terms == _oracle_sum((xt, 1))
+        checks = [
+            (x + y, _oracle_sum((xt, 1), (yt, 1))),
+            (x - y, _oracle_sum((xt, 1), (yt, -1))),
+            (quasi_shuffle(x, y), _oracle_product(xt, yt)),
+            (x * y, _oracle_product(xt, yt)),
+            (differentiate(x), _oracle_derivative(xt)),
+        ]
+        delta = any(isinstance(c, DeltaRationalFunction)
+                    or any(isinstance(l.r, DeltaRationalFunction) for l in w)
+                    for d in fractions for w, c in d.items())
+        for got, want in checks:
+            assert got.terms == want
+            assert got == HopfElement(want)
+            assert all(_coefficient_ok(c, delta) for c in got.terms.values())
+            # inside the element, integral multiplicities are ints
+            assert not any(type(c) is Fraction and c.denominator == 1
+                           for c in got._terms.values())
+        coproduct_terms = element_coproduct(x)
+        assert coproduct_terms == _oracle_coproduct(xt)
+        assert all(_coefficient_ok(c, delta)
+                   for c in coproduct_terms.values())
+        tensor = tensor_quasi_shuffle(coproduct_terms, element_coproduct(y))
+        assert tensor == _oracle_coproduct(_oracle_product(xt, yt))
+        assert all(_coefficient_ok(c, delta) for c in tensor.values())
+        assert (x - x).is_zero() and (x + y == y + x)
