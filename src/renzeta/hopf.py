@@ -94,7 +94,7 @@ class Letter:
     __slots__ = ("s", "r")
 
     def __new__(cls, s: int, r):
-        if not isinstance(s, int):
+        if not isinstance(s, int) or isinstance(s, bool):
             raise TypeError("exponent must be an integer")
         r = _check_direction(r)
         # hash(-1) == hash(-2), so exponents enter as 2s + 1; the flag

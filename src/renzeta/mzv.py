@@ -73,16 +73,18 @@ c the rational content and p the primitive integer part (p = 1 over Q; a
 delta-direction stores both), W(b, rho) is the rational scalars of (b, c),
 (-1)^(b+1) b! c^(-b-1) at the pole and zeta(-b-j) c^j / j! at eps^j, over
 one integer denominator; over Q(delta) the numerator at eps^j is
-multiplied by p^(j+b+1), over the factor p^(b+1).  The scalars come from
+multiplied by p^(j+b+1), over the factor p^(b+1).  The integers come from
 one process-wide memo keyed by (b, c): Q and Q(delta) share its entries,
-as do directions of one content (1, 1 + d, 1 + 2d).  An entry holds the
-pole scalar, the Taylor scalars built so far and the next power of c; a
-longer request extends it and a shorter one truncates it, which is exact
-because each scalar depends only on its own index.  The memo holds one
-entry per (b, c) ever asked for, as long as the longest request, and grows
-with the direction contents of the process.  Entries are replaced whole,
-never changed in place, so concurrent callers at worst build an entry
-twice.
+as do directions of one content (1, 1 + d, 1 + 2d).  An entry is the
+layout itself, (den, nums): the pole numerator and the Taylor numerators
+of the longest window asked for, over their least common denominator.  A
+longer request rebuilds the entry at the new length; a shorter one slices
+the numerators over the same den.  The slice is exact but need not be in
+lowest terms, and both roots reduce it: the Q series divides out its
+content, and the field's integer constructor takes its gcd.  The memo
+holds one entry per (b, c) ever asked for and grows with the direction
+contents of the process.  Entries are replaced whole, never changed in
+place, so concurrent callers at worst build an entry twice.
 
 Renormalized values: the decomposition engine splits the regularized window,
 and the constant term of its pole-free part at a given direction vector is
@@ -161,7 +163,7 @@ def argument_word(exponents, directions) -> Word:
         raise ValueError(
             f"{len(s)} exponents against {len(r)} directions")
     for x in s:
-        if not isinstance(x, int) or x > 0:
+        if not isinstance(x, int) or isinstance(x, bool) or x > 0:
             raise ValueError(
                 f"exponent {x} is not a non-positive integer")
     return Word(Letter(x, rx) for x, rx in zip(s, r))
@@ -368,40 +370,35 @@ class _DeltaWindow:
              for r in self.nums])
 
 
-# (b, c) -> (pole scalar, Taylor scalars, c^len(Taylor)) for a direction of
-# rational content c, shared by both rings (module docstring)
+# (b, c) -> (den, nums) of the longest W(b, c) asked for, the pole numerator
+# first, shared by the directions of content c in both rings (module
+# docstring)
 _one_var_windows: dict = {}
 
 
 def _one_var_integers(b, rho, precision, powers):
     """W(b, rho) on [-(b+1), precision) in the expansion's integer layout,
-    from the memoized scalars of (b, c) for rho = c p (module docstring):
-    a _QWindow for a rational rho, else a _DeltaWindow over the factor
-    {p: b+1}, c and p read off the delta-polynomial's canonical form and
-    the powers of p from the expansion's memo powers."""
+    for rho = c p (module docstring): the first precision + 1 numerators
+    of the memo entry of (b, c) over its den, the entry rebuilt first if
+    it is shorter.  A _QWindow for a rational rho, else a _DeltaWindow over
+    the factor {p: b+1}, c and p read off the delta-polynomial's canonical
+    form and the powers of p from the expansion's memo powers."""
     if isinstance(rho, DeltaRationalFunction):
         # a constant rho has p = (1,) and no factor
         c, p = rho._c, rho._p
     else:
         c, p = rho, None
-    key = (b, c)
-    entry = _one_var_windows.get(key)
-    if entry is None:
-        entry = ((-1) ** (b + 1) * math.factorial(b) / c ** (b + 1), (),
-                 Fraction(1))
-    pole, taylor, power = entry
-    if len(taylor) < precision:
-        grown = list(taylor)
-        for j in range(len(taylor), precision):
-            z = zeta_nonpositive(b + j)
-            # zeta vanishes at the negative even integers
-            grown.append(z * power / math.factorial(j) if z else z)
-            power = power * c
-        taylor = tuple(grown)
+    entry = _one_var_windows.get((b, c))
+    if entry is None or len(entry[1]) <= precision:
+        # zeta vanishes at the negative even integers
+        entry = _over_common_denominator(
+            [(-1) ** (b + 1) * math.factorial(b) / c ** (b + 1)]
+            + [z * c ** j / math.factorial(j) if z else z
+               for j, z in enumerate(map(zeta_nonpositive,
+                                         range(b, b + precision)))])
         # replaced whole, never mutated: a reader keeps a consistent entry
-        _one_var_windows[key] = (pole, taylor, power)
-    den, (top, *nums) = _over_common_denominator(
-        (pole,) + taylor[:precision])
+        _one_var_windows[b, c] = entry
+    den, (top, *nums) = entry[0], entry[1][:precision + 1]
     if p is None:
         return _QWindow(-(b + 1), [top] + [0] * b + nums, den)
     rows = [[top]] + [[]] * b + [
@@ -517,10 +514,8 @@ def symmetrized_zero(depth: int, directions) -> Fraction:
     """Average of the all-zero-exponent value over direction orderings."""
     from itertools import permutations
 
-    r = tuple(_check_direction(x) for x in directions)
-    if len(r) != depth:
-        raise ValueError(f"need exactly {depth} directions")
     zeros = (0,) * depth
+    r = tuple(l.r for l in argument_word(zeros, directions))
     acc = None
     for perm in permutations(r):
         v = renorm_directional(zeros, perm)
@@ -534,10 +529,9 @@ def symmetrized_zero(depth: int, directions) -> Fraction:
 def generating_check(depth: int, directions, order: int) -> CheckReport:
     """Taylor coefficients of the renormalized all-zero window against the
     weighted sums of non-positive renormalized values they should equal."""
-    r = tuple(_check_direction(x) for x in directions)
-    if len(r) != depth:
-        raise ValueError(f"need exactly {depth} directions")
     zeros = (0,) * depth
+    word = argument_word(zeros, directions)
+    r = tuple(l.r for l in word)
     series = renormalized_series(zeros, r, order)
     lhs = []
     rhs = []
@@ -551,7 +545,6 @@ def generating_check(depth: int, directions, order: int) -> CheckReport:
                 weight *= rj ** i * Fraction(1, math.factorial(i))
             total += value * weight
         rhs.append(total)
-    word = argument_word(zeros, r)
     return CheckReport(
         word=str(word),
         check="generating-function",
@@ -565,8 +558,8 @@ def two_var_an_check(n: int, r1, r2) -> CheckReport:
     """Depth-two Taylor coefficient identity: n! times the eps^n coefficient
     of the finite part of the double window against binomially weighted
     renormalized values plus the zeta correction term."""
-    r1 = _check_direction(r1)
-    r2 = _check_direction(r2)
+    word = argument_word((0, 0), (r1, r2))
+    r1, r2 = (l.r for l in word)
     reg = regularized_expansion((0, 0), (r1, r2), n + 1)
     an = reg.finite_part().coefficient(n) * math.factorial(n)
     total = Fraction(0)
@@ -575,7 +568,6 @@ def two_var_an_check(n: int, r1, r2) -> CheckReport:
             * renorm_directional((-i, i - n), (r1, r2))
     total -= r2 ** (n + 1) / r1 * zeta_nonpositive(n + 1) \
         * Fraction(1, n + 1)
-    word = argument_word((0, 0), (r1, r2))
     return CheckReport(
         word=str(word),
         check="taylor-coefficient-formula",

@@ -244,10 +244,8 @@ def _random_series(rng, ring=RATIONAL_FIELD):
             a = rng.randint(-3, 3)
             return TPolynomial((rng.randint(-3, 3), a))
         return TruncatedLaurentSeries(ring, mo, [coeff() for _ in range(n)])
-    # p then q for each coefficient, with no pair tuple per coefficient
-    draws = [rng.randint(lo, hi) for _ in range(n)
-             for lo, hi in ((-9, 9), (1, 9))]
-    ps, qs = draws[0::2], draws[1::2]
+    ps = rng.choices(range(-9, 10), k=n)
+    qs = rng.choices(range(1, 10), k=n)
     den = math.lcm(*qs)
     return TruncatedLaurentSeries._of_integers(
         mo, [p * (den // q) for p, q in zip(ps, qs)], den)

@@ -27,6 +27,7 @@ from renzeta.hopf import (
     reduced_coproduct,
     tensor_quasi_shuffle,
 )
+from renzeta.mzv import argument_word
 
 F = Fraction
 W = Word.from_pairs
@@ -488,6 +489,18 @@ class TestLetterIdentity:
     def test_letters_are_immutable(self):
         with pytest.raises(AttributeError):
             Letter(0, 1).s = 1
+
+    def test_bool_exponents_are_rejected(self):
+        # False == 0 and hash(False) == hash(0): an admitted bool would
+        # become the one letter of (0, r), and every later (0, r) would
+        # print as (False,r)
+        for s in (False, True):
+            with pytest.raises(TypeError):
+                Letter(s, 7)
+            with pytest.raises(ValueError):
+                argument_word((s,), (7,))
+        assert type(Letter(0, 7).s) is int
+        assert str(argument_word((0,), (7,))) == "(0,7)"
 
 
 class TestCanonicalTablesUnderThreads:

@@ -124,6 +124,27 @@ class TestArgumentValidation:
         with pytest.raises(ValueError):
             argument_word((0,), (1 / DELTA,))
 
+    def test_checks_validate_through_argument_word(self):
+        # symmetrized_zero, generating_check and two_var_an_check read
+        # their depth and directions through argument_word
+        checks = (lambda r: symmetrized_zero(2, r),
+                  lambda r: generating_check(2, r, 1),
+                  lambda r: two_var_an_check(1, *r))
+        for check in checks:
+            for r in ((1, 0), (F(-1, 2), 1), (1, 1 / DELTA)):
+                with pytest.raises(ValueError):
+                    check(r)
+            with pytest.raises(TypeError):
+                check((1, "2"))
+        # two_var_an_check takes two directions by its signature
+        for r in ((), (1,), (1, 2, 3)):
+            with pytest.raises(ValueError):
+                symmetrized_zero(2, r)
+            with pytest.raises(ValueError):
+                generating_check(2, r, 1)
+        with pytest.raises(ValueError):
+            symmetrized_zero(0, ())
+
     def test_pole_depth(self):
         assert argument_word((0, 0), (1, 1)).pole_depth() == 2
         assert argument_word((-2, -1), (1, 1)).pole_depth() == 5
@@ -204,16 +225,20 @@ class TestOneVarMemo:
         (DeltaRationalFunction.from_rational(F(2)), DELTA_FIELD),
         (1 + 2 * DELTA, DELTA_FIELD)])
     def test_any_request_order_equals_fresh_windows(self, rho, ring):
-        # short then long extends the entry, long then short truncates it
+        # short then long rebuilds the entry, long then short slices it
         for b in range(4):
-            for order in ((2, 9), (9, 2), (1, 5, 3, 8)):
+            for order in ((2, 9), (9, 2), (1, 5, 3, 8), (4, 5)):
                 mzv._one_var_windows.clear()
                 for n in order:
                     assert one_var_series(b, rho, n) == \
                         fresh_one_var(b, rho, n, ring), (b, order, n)
-                # one entry per (b, content), as long as the longest ask
+                # one entry per (b, content): an integer denominator over
+                # the pole numerator and the Taylor numerators of the
+                # longest ask
                 (entry,) = mzv._one_var_windows.values()
-                assert len(entry[1]) == max(order)
+                den, nums = entry
+                assert isinstance(den, int) and den > 0
+                assert len(nums) == max(order) + 1
 
     def test_directions_of_one_content_share_an_entry(self):
         # 1 + d, 1 + 2d and 1 all have content 1: one memo entry, yet each
@@ -239,6 +264,31 @@ class TestOneVarMemo:
             assert len(mzv._one_var_windows) == 1
         assert regularized_expansion((0, -1), (F(1), const), 2).ring \
             is DELTA_FIELD
+
+    @pytest.mark.parametrize("s, r", [
+        ((0, 0), (F(1), F(1))),
+        ((-2, 0, -1), (F(1, 2), F(3), F(2, 3))),
+        ((-1, -3), (F(5, 4), F(7, 3))),
+        ((0, 0), (1 + DELTA, 1 + DELTA)),
+        ((-2, 0, -1), (1 + DELTA, 2 * DELTA, F(1, 3) + DELTA)),
+        ((0, -1, 0), (2 + 2 * DELTA, F(1, 3) + DELTA,
+                      2 * DELTA + 2 * DELTA ** 2)),
+        ((-1, 0), (F(1, 2), DELTA))])
+    def test_windows_sliced_from_longer_entries_equal_cold_ones(self, s, r):
+        # a slice keeps the longer entry's denominator, which the roots
+        # reduce away: the expansion equals the one from a cold memo
+        for precision in (1, 3):
+            mzv._one_var_windows.clear()
+            cold = regularized_expansion(s, r, precision)
+            mzv._one_var_windows.clear()
+            regularized_expansion(s, r, precision + 6)
+            primed = dict(mzv._one_var_windows)
+            sliced = regularized_expansion(s, r, precision)
+            # every window was a slice of a primed entry, none rebuilt
+            assert mzv._one_var_windows.keys() == primed.keys()
+            assert all(mzv._one_var_windows[k] is v
+                       for k, v in primed.items())
+            assert sliced == cold and str(sliced) == str(cold), precision
 
 
 class TestExpansionPlans:
