@@ -13,11 +13,24 @@ renormalized part is (1 - P)(prepared(x)) = prepared(x) + counterterm(x).
 Since suffixes of prefixes are not themselves needed, a bottom-up pass over
 the prefixes of a word fills the memo in one sweep.
 
-Precision bookkeeping rides along: a character carries the uniform window
-precision its word map delivers plus the largest pole depth it is sized for;
-the counterterm of a word of pole depth M keeps at least (precision - M)
-known coefficients, enough for exact constant terms whenever the budget
-covers the word.
+Precision bookkeeping rides along.  A character carries a budget B and the
+largest pole depth it is sized for, and its value on a word x of pole depth
+M(x) need only be known below eps^(B - M(x)), with valuation >= -M(x):
+B coefficients from the pole on, never more than the recursion reads.
+``Character.on_word`` raises InsufficientPrecision for a window that stops
+short of that.  The bound carries through the recursion by induction over
+prefixes.  Pole depth adds over concatenation, M(x) = M(x') + M(x'').  If
+counterterm(x') is known below eps^(B - M(x')) with valuation >= -M(x'),
+then counterterm(x') phi(x'') is known below
+
+    min(B - M(x') - M(x''), B - M(x'') - M(x')) = B - M(x),
+
+since a product knows each factor's window shifted by the partner's
+valuation.  So prepared(x) is known below eps^(B - M(x)), and so are its
+projections counterterm(x) and renormalized(x), the counterterm again with
+valuation >= -M(x).  With M(x) at most the budget's pole depth, the
+renormalized part keeps B - max_pole_depth >= 1 Taylor coefficients, so
+its constant term is exact.
 """
 
 from __future__ import annotations
@@ -55,9 +68,10 @@ __all__ = [
 class PrecisionBudget:
     """How much window every character value carries, and for whom.
 
-    requested_precision is the uniform O(eps^B) bound of word values;
-    max_pole_depth is the deepest word the budget is sized for, so that
-    renormalized parts keep requested_precision - max_pole_depth > 0 known
+    requested_precision is B: a word of pole depth M has its value, its
+    counterterm and its renormalized part known below eps^(B - M) (module
+    docstring).  max_pole_depth is the deepest word the budget is sized
+    for, so that renormalized parts keep B - max_pole_depth > 0 known
     Taylor coefficients.
     """
 
@@ -88,7 +102,9 @@ class Character:
     """Word-indexed series with multiplicative meaning; linear on elements.
 
     Only words of the non-positive sector within the budget's pole depth
-    have values; any other word raises before the word map runs.
+    have values; any other word raises before the word map runs.  The word
+    map owes a word of pole depth M a window known below eps^(B - M); a
+    shorter one raises InsufficientPrecision (module docstring).
     """
 
     __slots__ = ("ring", "budget", "_word_fn", "_cache")
@@ -111,6 +127,12 @@ class Character:
                 hit = one_series(self.ring, self.budget.requested_precision)
             else:
                 hit = self._word_fn(word)
+                need = self.budget.requested_precision - depth
+                if hit.precision < need:
+                    raise InsufficientPrecision(
+                        f"word {word} has a window to O(eps^{hit.precision})"
+                        f", short of the O(eps^{need}) its pole depth "
+                        f"{depth} needs")
             self._cache[word] = hit
         return hit
 

@@ -78,9 +78,10 @@ one process-wide memo keyed by (b, c): Q and Q(delta) share its entries,
 as do directions of one content (1, 1 + d, 1 + 2d).  An entry is the
 layout itself, (den, nums): the pole numerator and the Taylor numerators
 of the longest window asked for, over their least common denominator.  A
-longer request rebuilds the entry at the new length; a shorter one slices
-the numerators over the same den.  The slice is exact but need not be in
-lowest terms, and both roots reduce it: the Q series divides out its
+longer request extends the entry: it builds only the scalars the entry
+lacks and brings the old numerators over the new lcm.  A shorter one
+slices the numerators over the same den.  The slice is exact but need not
+be in lowest terms, and both roots reduce it: the Q series divides out its
 content, and the field's integer constructor takes its gcd.  The memo
 holds one entry per (b, c) ever asked for and grows with the direction
 contents of the process.  Entries are replaced whole, never changed in
@@ -91,6 +92,14 @@ and the constant term of its pole-free part at a given direction vector is
 the directional renormalized value.  The direction-free value at s takes
 directions |s_i| + delta, lands in Q(delta), and evaluates at delta = 0;
 when the canonical form still has a pole there, PoleAtZero propagates.
+
+The character sizes each word to what the decomposition reads (birkhoff
+module docstring): with budget B, a word of pole depth M is expanded at
+precision B - M, B coefficients from eps^-M on, not at B.  The top M
+coefficients a precision-B window would add are the widest
+delta-polynomials of the expansion, and the recursion never reads them.
+regularized_expansion itself keeps its contract: its precision is the
+O(eps^precision) bound the caller asks for.
 
 For a word with no zero exponent that limit is the value at the rational
 directions |s|.  Every ring operation on the way divides only by powers of
@@ -376,10 +385,20 @@ class _DeltaWindow:
 _one_var_windows: dict = {}
 
 
+def _one_var_scalar(b, c, j) -> Fraction:
+    """The scalar of W(b, c) at eps^j, or at the pole eps^(-b-1) for
+    j = -1."""
+    if j < 0:
+        return (-1) ** (b + 1) * math.factorial(b) / c ** (b + 1)
+    z = zeta_nonpositive(b + j)
+    # zeta vanishes at the negative even integers
+    return z * c ** j / math.factorial(j) if z else z
+
+
 def _one_var_integers(b, rho, precision, powers):
     """W(b, rho) on [-(b+1), precision) in the expansion's integer layout,
     for rho = c p (module docstring): the first precision + 1 numerators
-    of the memo entry of (b, c) over its den, the entry rebuilt first if
+    of the memo entry of (b, c) over its den, the entry extended first if
     it is shorter.  A _QWindow for a rational rho, else a _DeltaWindow over
     the factor {p: b+1}, c and p read off the delta-polynomial's canonical
     form and the powers of p from the expansion's memo powers."""
@@ -388,17 +407,20 @@ def _one_var_integers(b, rho, precision, powers):
         c, p = rho._c, rho._p
     else:
         c, p = rho, None
-    entry = _one_var_windows.get((b, c))
-    if entry is None or len(entry[1]) <= precision:
-        # zeta vanishes at the negative even integers
-        entry = _over_common_denominator(
-            [(-1) ** (b + 1) * math.factorial(b) / c ** (b + 1)]
-            + [z * c ** j / math.factorial(j) if z else z
-               for j, z in enumerate(map(zeta_nonpositive,
-                                         range(b, b + precision)))])
+    den, nums = _one_var_windows.get((b, c), (1, []))
+    if len(nums) <= precision:
+        # build only the scalars the entry lacks and bring the old
+        # numerators over the new lcm
+        new_den, new_nums = _over_common_denominator(
+            [_one_var_scalar(b, c, j)
+             for j in range(len(nums) - 1, precision)])
+        lcm = math.lcm(den, new_den)
+        nums = [x * (lcm // den) for x in nums] \
+            + [x * (lcm // new_den) for x in new_nums]
+        den = lcm
         # replaced whole, never mutated: a reader keeps a consistent entry
-        _one_var_windows[b, c] = entry
-    den, (top, *nums) = entry[0], entry[1][:precision + 1]
+        _one_var_windows[b, c] = den, nums
+    top, *nums = nums[:precision + 1]
     if p is None:
         return _QWindow(-(b + 1), [top] + [0] * b + nums, den)
     rows = [[top]] + [[]] * b + [
@@ -451,7 +473,8 @@ def expansion_character(ring, taylor_order: int,
                         max_pole_depth: int) -> Character:
     """The regularized-sum character, sized so every word within the depth
     budget keeps taylor_order + 1 exact Taylor coefficients after
-    decomposition."""
+    decomposition: a word of pole depth M is expanded to
+    O(eps^(B - M)), B the budget's precision (module docstring)."""
     budget = PrecisionBudget(
         requested_precision=taylor_order + 1 + max_pole_depth,
         max_pole_depth=max_pole_depth,
@@ -462,7 +485,7 @@ def expansion_character(ring, taylor_order: int,
         # argument must still land in Q(delta)
         return regularized_expansion(
             tuple(l.s for l in word), tuple(ring.coerce(l.r) for l in word),
-            budget.requested_precision)
+            budget.requested_precision - word.pole_depth())
 
     return Character(ring, word_fn, budget)
 

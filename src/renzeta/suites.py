@@ -322,9 +322,9 @@ def suite_rota_baxter(max_weight: int = 4, seed: int = 0) -> list:
 # ---------------------------------------------------------------------------
 # Decomposition.
 
-def _session_for_words(words):
+def _session_for_words(words, taylor_order: int = 1):
     depth = max((w.pole_depth() for w in words), default=0)
-    return decomposition_session(taylor_order=1, max_pole_depth=depth)
+    return decomposition_session(taylor_order, max_pole_depth=depth)
 
 
 def suite_birkhoff(max_weight: int = 4, seed: int = 0) -> list:
@@ -336,7 +336,16 @@ def suite_birkhoff(max_weight: int = 4, seed: int = 0) -> list:
     for prod in products.values():
         product_words.update(prod.terms)
     product_words.discard(EMPTY_WORD)
-    session = _session_for_words(product_words)
+    # the character expands a word x of pole depth M(x) to O(eps^(B - M(x)))
+    # only (birkhoff module docstring).  The batteries compare windows at
+    # least as long as expanding every word to a uniform O(eps^B), B the
+    # budget at Taylor order 1, would give; that leaves renormalized(x)
+    # known below eps^(B - M(x) + M(a)) at most, a the first letter of x,
+    # where its term counterterm(a) phi(x'') stops.  One Taylor order more
+    # per pole of the deepest letter covers it
+    letter = max((Word((l,)).pole_depth()
+                  for w in product_words for l in w), default=0)
+    session = _session_for_words(product_words, 1 + letter)
     reports = []
 
     def decomposition_cases():
@@ -390,7 +399,13 @@ def suite_differential(max_weight: int = 4, seed: int = 0) -> list:
     bound = min(max_weight, 3)
     words = _words_up_to(bound)
     depth = max((w.pole_depth() for w in words), default=0) + 1
-    session = decomposition_session(taylor_order=1, max_pole_depth=depth)
+    # character-derivative compares the derivative of a word's own value.
+    # Expanded to a uniform O(eps^B), B the budget at Taylor order 1, that
+    # value is known below eps^(B - 1) whatever the word's pole depth M; the
+    # character expands it to O(eps^(B - M)) only (birkhoff module
+    # docstring).  Taylor order 1 + the deepest M, which is depth, keeps
+    # every compared window that long
+    session = decomposition_session(taylor_order=depth, max_pole_depth=depth)
     reports = []
 
     pairs = [verify_differential_compatibility(session, w) for w in words]

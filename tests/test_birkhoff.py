@@ -4,7 +4,10 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from renzeta.arith import DELTA
 from renzeta.birkhoff import (
     Character,
     CheckReport,
@@ -16,12 +19,18 @@ from renzeta.birkhoff import (
 )
 from renzeta.hopf import EMPTY_WORD, HopfElement, Word, quasi_shuffle
 from renzeta.laurent import (
+    DELTA_FIELD,
     InsufficientPrecision,
     RATIONAL_FIELD,
     one_series,
     windows_agree,
 )
-from renzeta.mzv import decomposition_session, expansion_character
+from renzeta.mzv import (
+    argument_word,
+    decomposition_session,
+    expansion_character,
+    regularized_expansion,
+)
 
 F = Fraction
 W = Word.from_pairs
@@ -70,12 +79,69 @@ class TestCharacter:
         with pytest.raises(ValueError):
             session.character.on_word(W([(1, 1)]))
 
+    def test_short_word_window_rejected(self):
+        # a word of pole depth M is owed a window to O(eps^(B - M))
+        base = expansion_character(RATIONAL_FIELD, 1, 3)
+        word = W([(-1, 2)])
+        need = base.budget.requested_precision - word.pole_depth()
+
+        def short(w):
+            return base.on_word(w).truncated(need - 1)
+
+        with pytest.raises(InsufficientPrecision, match=r"\(-1,2\)"):
+            Character(RATIONAL_FIELD, short, base.budget).on_word(word)
+
+        def exact(w):
+            return base.on_word(w).truncated(need)
+
+        char = Character(RATIONAL_FIELD, exact, base.budget)
+        assert char.on_word(word).precision == need
+
     def test_depth_budget_enforced(self):
         small = decomposition_session(taylor_order=0, max_pole_depth=2)
         with pytest.raises(InsufficientPrecision):
             small.renormalized(W([(-2, 1)]))
         with pytest.raises(InsufficientPrecision):
             small.character.on_word(W([(0, 1), (0, 1), (0, 1)]))
+
+
+class TestWordSizing:
+    """The character expands a word of pole depth M to O(eps^(B - M))
+    only; the decomposition reads no further (module docstring)."""
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_sized_session_equals_full_windows(self, data):
+        depth = data.draw(st.integers(1, 4), label="depth")
+        s = data.draw(st.lists(st.integers(-3, 0), min_size=depth,
+                               max_size=depth))
+        if data.draw(st.booleans(), label="delta"):
+            ring, r = DELTA_FIELD, [-x + DELTA for x in s]
+        else:
+            ring = RATIONAL_FIELD
+            r = data.draw(st.lists(
+                st.builds(F, st.integers(1, 6), st.integers(1, 3)),
+                min_size=len(s), max_size=len(s)))
+        word = argument_word(s, r)
+        sized = decomposition_session(
+            data.draw(st.integers(0, 2), label="taylor order"),
+            word.pole_depth(), ring)
+        budget = sized.character.budget
+        b = budget.requested_precision
+
+        def full(w):
+            return regularized_expansion(
+                tuple(l.s for l in w), tuple(l.r for l in w), b)
+
+        reference = DecompositionSession(Character(ring, full, budget))
+        for i in range(len(word)):
+            for j in range(i + 1, len(word) + 1):
+                x = word[i:j]
+                for part in ("counterterm", "renormalized"):
+                    got = getattr(sized, part)(x)
+                    assert got.precision >= b - x.pole_depth(), (x, part)
+                    assert windows_agree(
+                        got, getattr(reference, part)(x)), (x, part)
 
 
 class TestDecompositionValues:

@@ -50,6 +50,26 @@ def test_eval_contract_values(capsys):
         assert out == want + "\n"
 
 
+# the zero-exponent words whose expansions dominate eval and table, and
+# their exact values
+HEAVY_EVAL_VALUES = (
+    ("-3,-3,0", "-61/28800"),
+    ("-2,0,-2,0", "-11737/9676800"),
+    ("0,-4,-4,0", "2635/1397088"),
+    ("-3,-3,-3,0", "181124335957/52960811904000"),
+    ("-4,-4,-4,0", "-11380928123419637/424302766497792000"),
+    ("-2,-2,-2,-2,0", "492631577190497/289236647411712000"),
+    ("0,-3,0,-3,0", "496921/851558400"),
+)
+
+
+@pytest.mark.parametrize("s, want", HEAVY_EVAL_VALUES)
+def test_eval_heavy_zero_words(capsys, s, want):
+    rc, out, err = run(capsys, ["eval", f"--s={s}"])
+    assert rc == 0 and err == ""
+    assert out == want + "\n"
+
+
 def test_eval_approx(capsys):
     rc, out, _ = run(capsys, ["eval", "--s", "0,0", "--approx"])
     assert rc == 0

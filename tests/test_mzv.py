@@ -291,6 +291,24 @@ class TestOneVarMemo:
             assert sliced == cold and str(sliced) == str(cold), precision
 
 
+def test_a_longer_window_builds_only_the_missing_scalars(monkeypatch):
+    # the memo entry of (b, c) grows by the scalars it lacks, each built
+    # once, the pole scalar (j = -1) first
+    monkeypatch.setattr(mzv, "_one_var_windows", {})
+    built = []
+    scalar = mzv._one_var_scalar
+
+    def counting(b, c, j):
+        built.append(j)
+        return scalar(b, c, j)
+
+    monkeypatch.setattr(mzv, "_one_var_scalar", counting)
+    for n in (2, 5, 3, 9):
+        assert one_var_series(1, F(2, 3), n) == \
+            fresh_one_var(1, F(2, 3), n, RATIONAL_FIELD)
+    assert built == list(range(-1, 9))
+
+
 class TestExpansionPlans:
     def test_zero_exponents_have_single_plan(self):
         plans = list(expansion_plans((0, 0), (1, 1)))
