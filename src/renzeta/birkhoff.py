@@ -9,9 +9,10 @@ deconcatenation splits: with
     prepared(x) = phi(x) + sum counterterm(x') phi(x'')
 
 over reduced splits x' (x) x'', the counterterm is -P(prepared(x)) and the
-renormalized part is (1 - P)(prepared(x)) = prepared(x) + counterterm(x).
-Since suffixes of prefixes are not themselves needed, a bottom-up pass over
-the prefixes of a word fills the memo in one sweep.
+renormalized part is (1 - P)(prepared(x)), both projections: renormalized(x)
+= prepared(x) + counterterm(x) holds, but no sum forms it.  Since suffixes
+of prefixes are not themselves needed, a bottom-up pass over the prefixes
+of a word fills the memo in one sweep.
 
 Precision bookkeeping rides along.  A character carries a budget B and the
 largest pole depth it is sized for, and its value on a word x of pole depth
@@ -141,7 +142,8 @@ class Character:
 
 
 class DecompositionSession:
-    """Memoized counterterm/renormalized values for one character."""
+    """Memoized counterterm/renormalized values for one character: -P and
+    (1 - P) of each prefix's prepared value (module docstring)."""
 
     __slots__ = ("character", "memo_minus", "memo_plus")
 
@@ -164,9 +166,8 @@ class DecompositionSession:
                 for left, right in reduced_coproduct(prefix):
                     prepared = prepared + self.memo_minus[left] \
                         * self.character.on_word(right)
-            minus = -(prepared.pole_part())
-            self.memo_minus[prefix] = minus
-            self.memo_plus[prefix] = prepared + minus
+            self.memo_minus[prefix] = -(prepared.pole_part())
+            self.memo_plus[prefix] = prepared.finite_part()
 
     def counterterm(self, word: Word) -> TruncatedLaurentSeries:
         """The pure-pole part phi_minus on one word."""
@@ -230,24 +231,24 @@ class CheckReport:
         }
 
 
-def verify_differential_compatibility(session: DecompositionSession,
-                                      word: Word) -> list:
-    """Check that both decomposition parts intertwine the word derivation
-    with d/d(eps): part(d word) = (part(word))' for plus and minus."""
+def _differential_cases(session: DecompositionSession, word: Word):
+    """(check, agree, lhs, rhs) for plus, then minus: part(d word) and
+    (part(word))' as series, unformatted, and whether their windows agree."""
     lowered = differentiate(word)
-    reports = []
-    for label, by_word, linear in (
+    for check, by_word, linear in (
             ("differential-plus", session.renormalized,
              session.renormalized_of),
             ("differential-minus", session.counterterm,
              session.counterterm_of)):
         lhs = linear(lowered)
         rhs = by_word(word).derivative()
-        reports.append(CheckReport(
-            word=str(word),
-            check=label,
-            passed=windows_agree(lhs, rhs),
-            lhs=str(lhs),
-            rhs=str(rhs),
-        ))
-    return reports
+        yield check, windows_agree(lhs, rhs), lhs, rhs
+
+
+def verify_differential_compatibility(session: DecompositionSession,
+                                      word: Word) -> list:
+    """Check that both decomposition parts intertwine the word derivation
+    with d/d(eps): part(d word) = (part(word))' for plus and minus."""
+    return [CheckReport(word=str(word), check=check, passed=agree,
+                        lhs=str(lhs), rhs=str(rhs))
+            for check, agree, lhs, rhs in _differential_cases(session, word)]

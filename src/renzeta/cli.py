@@ -56,11 +56,9 @@ def _parse_exponents(text: str) -> tuple:
         raise UsageError(f"cannot parse exponent list {text!r}") from None
 
 
-def _parse_directions(text: str, count: int) -> tuple:
+def _parse_directions(text: str) -> tuple:
+    # mzv.argument_word checks the count against the exponents
     entries = [p.strip() for p in text.split(",")]
-    if len(entries) != count:
-        raise UsageError(
-            f"expected {count} directions, got {len(entries)}")
     out = []
     for entry in entries:
         try:
@@ -129,14 +127,14 @@ def cmd_eval(args) -> int:
 
 def cmd_directional(args) -> int:
     s = _parse_exponents(args.s)
-    r = _parse_directions(args.r, len(s))
+    r = _parse_directions(args.r)
     return _print_value(
         args, s, [str(x) for x in r], renorm_directional(s, r))
 
 
 def cmd_series(args) -> int:
     s = _parse_exponents(args.s)
-    r = _parse_directions(args.r, len(s))
+    r = _parse_directions(args.r)
     precision = _resolve_precision(args)
     word, session = _word_session(s, r, precision - 1)
     depth = session.character.budget.max_pole_depth

@@ -45,14 +45,15 @@ def test_traced_pass_reaches_every_layer():
     # if the product leaves __mul__ or its coefficients leave the rings.
     # The regularized expansion recurses over integer windows on both
     # paths, Q and Q(delta), so only the decomposition's own products and
-    # sums are series operations
+    # split sums are series operations: both parts of a word are
+    # projections of its prepared value, formed with no sum
     assert {key: counters[key] for key in (
         "laurent.mul_q_calls", "laurent.mul_q_coeff_ops",
         "laurent.mul_qdelta_calls", "laurent.mul_qdelta_coeff_ops",
         "laurent.add_calls")} == {
         "laurent.mul_q_calls": 3, "laurent.mul_q_coeff_ops": 32,
         "laurent.mul_qdelta_calls": 1, "laurent.mul_qdelta_coeff_ops": 4,
-        "laurent.add_calls": 9}
+        "laurent.add_calls": 4}
     # the Q(delta) work of the word with a zero: operators, field gcds and
     # the widest coefficient an operator produces; a gcd with a constant
     # operand is counted and returns at once, and cancelling across before
@@ -63,7 +64,7 @@ def test_traced_pass_reaches_every_layer():
     assert {key: counters[key] for key in (
         "arith.qdelta_ops", "arith.poly_gcd_calls",
         "arith.value_max_bits")} == {
-        "arith.qdelta_ops": 30, "arith.poly_gcd_calls": 31,
+        "arith.qdelta_ops": 22, "arith.poly_gcd_calls": 27,
         "arith.value_max_bits": 6}
     # the mzv work: expansions and the words the sessions decompose
     assert {key: counters[key] for key in (

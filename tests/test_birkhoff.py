@@ -17,15 +17,23 @@ from renzeta.birkhoff import (
     verify_differential_compatibility,
     zplus_length2_direct,
 )
-from renzeta.hopf import EMPTY_WORD, HopfElement, Word, quasi_shuffle
+from renzeta.hopf import (
+    EMPTY_WORD,
+    HopfElement,
+    Word,
+    quasi_shuffle,
+    reduced_coproduct,
+)
 from renzeta.laurent import (
     DELTA_FIELD,
     InsufficientPrecision,
     RATIONAL_FIELD,
+    TruncatedLaurentSeries,
     one_series,
     windows_agree,
 )
 from renzeta.mzv import (
+    _word_session,
     argument_word,
     decomposition_session,
     expansion_character,
@@ -285,3 +293,44 @@ class TestMemoization:
         sess.renormalized(W([(0, 1), (0, 1)]))
         sess.counterterm(W([(0, 1), (0, 1)]))
         assert len(calls) == first
+
+
+SPLIT_EXPONENTS = (0, -1, 0, -2)
+
+
+@pytest.mark.parametrize("directions", [
+    (F(1), F(2), F(3, 2), F(1)),
+    tuple(abs(x) + DELTA for x in SPLIT_EXPONENTS),
+], ids=["rational", "abs-s-plus-delta"])
+class TestProjection:
+    """Both parts are projections of the prepared value: a cold session
+    adds series only to sum the splits, k(k - 1)/2 of them for a word of
+    length k, and no sum forms the renormalized part."""
+
+    def test_only_split_sums(self, monkeypatch, directions):
+        add = TruncatedLaurentSeries.__add__
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return add(a, b)
+
+        monkeypatch.setattr(TruncatedLaurentSeries, "__add__", counting)
+        for k in range(1, len(SPLIT_EXPONENTS) + 1):
+            word, session = _word_session(
+                SPLIT_EXPONENTS[:k], directions[:k], 1)
+            calls.clear()
+            session.renormalized(word)
+            assert len(calls) == k * (k - 1) // 2, k
+
+    def test_parts_equal_the_sum_form(self, directions):
+        word, session = _word_session(SPLIT_EXPONENTS, directions, 1)
+        for end in range(1, len(word) + 1):
+            x = word[:end]
+            prepared = session.character.on_word(x)
+            for left, right in reduced_coproduct(x):
+                prepared = prepared + session.counterterm(left) \
+                    * session.character.on_word(right)
+            minus = session.counterterm(x)
+            assert minus == -prepared.pole_part()
+            assert session.renormalized(x) == prepared + minus

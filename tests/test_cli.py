@@ -1,6 +1,7 @@
 """Command-line behavior: contract outputs, exit codes, schemas."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -130,6 +131,35 @@ def test_delta_direction_bytes(capsys, argv, expected):
     rc, out, err = run(capsys, argv)
     assert (rc, err) == (0, "")
     assert out == expected
+
+
+# a whole pole-free window over Q(delta) with mixed directions: the
+# rational letter (-1, 2) enters a Q(delta) session by coercion
+MIXED_SERIES = ["series", "--s=0,-1,0", "--r=1+d,2,d", "--prec", "6"]
+MIXED_CONSTANT = (
+    "(-487/120 - 49/4*d - 1459/96*d^2 - 28583/2880*d^3 - 10363/2880*d^4"
+    " - 659/960*d^5 - 31/576*d^6)/(81 + 243*d + 1197/4*d^2 + 387/2*d^3"
+    " + 277/4*d^4 + 13*d^5 + d^6)")
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("text",
+     "9d562668da1983483d6b6743d53c2985724eb749ed8f99a94ee324d8fa8f53ac"),
+    ("json",
+     "ab839886b37776675486ec85ca8a2b580c92955af88ed1689189c332474bcff9"),
+])
+def test_mixed_delta_series_window_bytes(capsys, fmt, digest):
+    rc, out, err = run(capsys, MIXED_SERIES + ["--format", fmt])
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if fmt == "text":
+        assert out.splitlines()[1].startswith(
+            f"renormalized: {MIXED_CONSTANT} + ")
+    else:
+        constant = json.loads(out)["renormalized"]["coeffs"][0]
+        assert constant["num"][0] == "-487/120"
+        assert constant["den"] == [
+            "81", "243", "1197/4", "387/2", "277/4", "13", "1"]
 
 
 def test_mixed_rational_and_delta_directions(capsys):
@@ -392,6 +422,10 @@ def test_usage_errors(capsys):
         assert rc == cli.EXIT_USAGE, argv
         assert err.startswith("error: "), argv
         assert "Traceback" not in err and err.count("\n") == 1, argv
+    # the word layer owns the count check, and its message is the one line
+    rc, _, err = run(capsys, ["directional", "--s=0,0", "--r=1"])
+    assert (rc, err) == (
+        cli.EXIT_USAGE, "error: 2 exponents against 1 directions\n")
 
 
 def test_approx_beyond_float_range(capsys, monkeypatch):

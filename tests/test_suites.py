@@ -3,6 +3,7 @@ gate."""
 
 import pytest
 
+from renzeta.laurent import TruncatedLaurentSeries
 from renzeta.suites import SUITES, run_suite
 
 
@@ -45,3 +46,20 @@ def test_all_concatenates_every_suite():
     assert "decomposition-identity" in seen
     assert "differential-plus" in seen
     assert "double-zero-value" in seen
+
+
+def test_differential_battery_formats_only_failures(monkeypatch):
+    # every report passes, so no series is ever turned into text
+    to_text = TruncatedLaurentSeries.__str__
+    calls = []
+
+    def counting(series):
+        calls.append(1)
+        return to_text(series)
+
+    monkeypatch.setattr(TruncatedLaurentSeries, "__str__", counting)
+    reports = run_suite("differential", max_weight=3)
+    assert [r.check for r in reports] == [
+        "differential-plus", "differential-minus", "character-derivative"]
+    assert all(r.passed for r in reports)
+    assert calls == []
