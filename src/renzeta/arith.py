@@ -43,7 +43,8 @@ common denominator and convolve the integer numerators in
 Q series (``laurent``), which keep that layout between operations, the
 integer polynomials of the field and the expansion's windows run on it
 too.  ``_convolve_rows`` convolves sequences of integer polynomials, for
-the Q[T] series products and the expansion's Q(delta) windows.
+the Q[T] series products and the Q(delta) series and expansion windows,
+which share one factored layout (``laurent``).
 
 ``zeta_nonpositive`` memoizes its values in a process-wide ``functools.cache``
 (``cache_info()`` gives size and hits), keyed by k: the series windows ask for

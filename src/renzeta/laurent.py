@@ -29,26 +29,44 @@ are slices, the derivative multiplies each numerator by its exponent, and
 JSON, ``terms`` and pickling go through it.  The regularized expansion
 hands its integer windows to the private ``_of_integers`` constructor.
 
+Over Q(delta) a series keeps the regularized expansion's factored integer
+layout (``mzv``): integer delta-polynomial rows over one positive integer
+and one polynomial denominator kept as {primitive p: exponent}, whose
+factors need not be coprime.  A new series strips leading zero rows and
+divides out the integer content; polynomials are never reduced.  Sums
+lift both windows to the larger exponent of each factor and combine the
+integers through one gcd, products convolve the rows on ``arith``'s
+``_convolve_rows`` and add the exponents, and the projectors, negation,
+the derivative and truncation work on the rows: no field operator and no
+polynomial gcd.  Reading a coefficient (``coeffs``, ``coefficient``,
+printing, JSON, ``==``, ``hash``, pickling) reduces it to the canonical
+c p/q of ``arith``, one gcd each, and ``coeffs`` keeps what it built; so
+``limit_at_zero`` raises PoleAtZero exactly where the field would.  The
+expansion hands its root over unreduced through ``_of_factored``.
+
 Every ring derives from ``_Ring``, which holds the shared hooks: coercion
 through the element class's ``_coerce``, the zero test and a zero
 coefficient derivative.  A ring declares its element class, name, zero,
-one and JSON form; Q keeps its own coercion and zero test.  Over Q(delta)
-``convolve`` is the schoolbook loop, one field multiply-add per
-coefficient pair.  Over Q[T] it brings the T-coefficients of each factor
-over one common denominator, convolves the integer T-polynomial rows and
-builds one ``Fraction`` per output T-coefficient.
+one and JSON form; Q keeps its own coercion and zero test.  Over Q[T]
+``convolve`` brings the T-coefficients of each factor over one common
+denominator, convolves the integer T-polynomial rows and builds one
+``Fraction`` per output T-coefficient.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 
 from renzeta.arith import (
     DeltaRationalFunction,
     _convolve_integers,
     _convolve_rows,
     _over_common_denominator,
+    _poly_times,
+    _row_sum,
     poly_add,
     poly_derivative,
     poly_format,
@@ -93,8 +111,8 @@ class InsufficientPrecision(PrecisionError):
 # ---------------------------------------------------------------------------
 # Coefficient rings.  A ring object bundles the element domain with the few
 # hooks the series needs; elements themselves stay plain values.  The product
-# hook ``convolve(a, b, n)`` of Q(delta) and Q[T] returns the first n
-# coefficients of the product of two coefficient tuples.
+# hook ``convolve(a, b, n)`` of Q[T] returns the first n coefficients of the
+# product of two coefficient tuples.
 
 class _Ring:
     """Hooks shared by the rings; see the module docstring.
@@ -146,16 +164,6 @@ class DeltaFunctionField(_Ring):
     name = "Q(delta)"
     zero = DeltaRationalFunction(())
     one = DeltaRationalFunction((Fraction(1),))
-
-    def convolve(self, a, b, n):
-        """Schoolbook product, one field multiply-add per coefficient pair."""
-        acc = [self.zero] * n
-        for i, ca in enumerate(a[:n]):
-            if ca.is_zero():
-                continue
-            for k, cb in enumerate(b[:n - i], i):
-                acc[k] = acc[k] + ca * cb
-        return acc
 
     def coefficient_to_json(self, c):
         return c.to_json()
@@ -279,15 +287,82 @@ T = TPolynomial((Fraction(0), Fraction(1)))
 
 
 # ---------------------------------------------------------------------------
+# The factored Q(delta) layout, shared with the expansion's windows
+# (``mzv``): (rows, den, factors) is rows[i] / (den * prod_p
+# p^factors[p]), each row an integer delta-polynomial with no trailing zero
+# ([] for zero) and each p primitive with a positive leading coefficient.
+
+@lru_cache(maxsize=1024)
+def _power(p, k) -> tuple:
+    """p^k for a primitive integer polynomial p."""
+    return (1,) if k == 0 else tuple(_poly_times(_power(p, k - 1), p))
+
+
+def _lifted(rows, factors, target) -> list:
+    """rows over prod_p p^factors[p] brought over prod_p p^target[p],
+    target covering factors."""
+    lift = [1]
+    for p, k in target.items():
+        extra = k - factors.get(p, 0)
+        if extra:
+            lift = _poly_times(lift, _power(p, extra))
+    if len(lift) == 1:
+        return rows
+    return [_poly_times(r, lift) for r in rows]
+
+
+def _factored_sum(a, b) -> tuple:
+    """a + b for two factored windows on one exponent range: both lifted
+    to the larger exponent of each factor, the integer denominators
+    combined through one gcd."""
+    rows_a, den_a, fac_a = a
+    rows_b, den_b, fac_b = b
+    factors = dict(fac_a)
+    for p, k in fac_b.items():
+        if k > factors.get(p, 0):
+            factors[p] = k
+    g = math.gcd(den_a, den_b)
+    ka, kb = den_b // g, den_a // g
+    return ([_row_sum(x, ka, y, kb) for x, y in zip(
+        _lifted(rows_a, fac_a, factors), _lifted(rows_b, fac_b, factors))],
+        den_a * ka, factors)
+
+
+def _factored_product(a, b, n: int) -> tuple:
+    """First n coefficients of a * b for two factored windows: the rows
+    convolved, the denominators multiplied, the exponents added."""
+    rows_a, den_a, fac_a = a
+    rows_b, den_b, fac_b = b
+    factors = dict(fac_a)
+    for p, k in fac_b.items():
+        factors[p] = factors.get(p, 0) + k
+    return _convolve_rows(rows_a, rows_b, n), den_a * den_b, factors
+
+
+def _factored_values(values) -> tuple:
+    """The factored layout of canonical Q(delta) values c p/q: den the lcm
+    of the denominators of the c, one factor per distinct nonconstant q."""
+    den = math.lcm(*(v._c.denominator for v in values))
+    factors = {v._q: 1 for v in values if len(v._q) > 1}
+    rows = []
+    for v in values:
+        n, d = v._c.as_integer_ratio()
+        row = [n * (den // d) * x for x in v._p]
+        own = {v._q: 1} if len(v._q) > 1 else {}
+        rows.append(_lifted([row], own, factors)[0])
+    return rows, den, factors
+
+
+# ---------------------------------------------------------------------------
 # The series itself.
 
-def _q_row(s, lo: int, prec: int, f: int) -> list:
-    """f times the numerators of the Q series s on the exponents [lo, prec),
-    lo <= s.min_order and prec <= s.precision."""
+def _aligned(s, lo: int, prec: int, zero) -> list:
+    """The stored row of s on the exponents [lo, prec), lo <= s.min_order
+    and prec <= s.precision, zero-filled below s.min_order."""
     k = prec - s.min_order
     if k <= 0:
-        return [0] * (prec - lo)
-    return [0] * (s.min_order - lo) + [f * x for x in s._row[:k]]
+        return [zero] * (prec - lo)
+    return [zero] * (s.min_order - lo) + list(s._row[:k])
 
 
 class TruncatedLaurentSeries:
@@ -298,13 +373,14 @@ class TruncatedLaurentSeries:
     which case exactly one zero is stored and min_order = precision - 1.
 
     ``_row`` is the stored window.  Over Q it holds integer numerators over
-    the positive integer ``_den``, with gcd(_den, *_row) = 1, and
-    ``_coeffs`` caches their Fractions once read; over the other rings it
-    holds the coefficients themselves, ``_den`` is None and ``_coeffs`` is
-    ``_row``.
+    the positive integer ``_den``, with gcd(_den, *_row) = 1; over Q(delta)
+    the rows of the factored layout over ``_den`` and ``_factors``.  Over
+    both ``_coeffs`` caches the coefficients once read.  Over Q[T] ``_row``
+    holds the coefficients, ``_den`` and ``_factors`` are None and
+    ``_coeffs`` is ``_row``.
     """
 
-    __slots__ = ("ring", "min_order", "_row", "_den", "_coeffs")
+    __slots__ = ("ring", "min_order", "_row", "_den", "_factors", "_coeffs")
 
     def __init__(self, ring, min_order: int, coeffs):
         # coerce: the public constructor also takes ints
@@ -318,16 +394,20 @@ class TruncatedLaurentSeries:
         if first == last and ring.is_zero(cs[last]):
             cs[last] = ring.zero
         cs = tuple(cs[first:])
-        row, den = cs, None
+        row, den, factors = cs, None, None
         if ring is RATIONAL_FIELD:
             den, row = _over_common_denominator(cs)
             row = tuple(row)
-        _set = object.__setattr__
-        _set(self, "ring", ring)
-        _set(self, "min_order", min_order + first)
-        _set(self, "_row", row)
-        _set(self, "_den", den)
-        _set(self, "_coeffs", cs)
+        elif ring is DELTA_FIELD:
+            row, den, factors = _factored_values(cs)
+            row = tuple(row)
+        self._fill(ring, min_order + first, row, den, factors, cs)
+
+    def _fill(self, *values):
+        """Set the slots, in their order, on a new series."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
 
     @classmethod
     def _of_integers(cls, min_order: int, nums, den: int):
@@ -341,21 +421,39 @@ class TruncatedLaurentSeries:
             nums, den = [x // g for x in nums[first:]], den // g
         elif first:
             nums = nums[first:]
-        self = object.__new__(cls)
-        _set = object.__setattr__
-        _set(self, "ring", RATIONAL_FIELD)
-        _set(self, "min_order", min_order + first)
-        _set(self, "_row", tuple(nums))
-        _set(self, "_den", den)
-        _set(self, "_coeffs", None)
-        return self
+        return object.__new__(cls)._fill(
+            RATIONAL_FIELD, min_order + first, tuple(nums), den, None, None)
+
+    @classmethod
+    def _of_factored(cls, min_order: int, rows, den: int, factors):
+        """The Q(delta) series of the factored window (rows, den, factors)
+        at eps^min_order on: leading zero rows are stripped and the integer
+        content common to den and the rows divided out; the polynomial
+        factors stay as they are."""
+        first, last = 0, len(rows) - 1
+        while first < last and not rows[first]:
+            first += 1
+        rows = rows[first:]
+        if not rows[0]:
+            # the zero window
+            den, factors = 1, {}
+        elif den != 1:
+            g = math.gcd(den, *chain.from_iterable(rows))
+            if g != 1:
+                rows, den = [[x // g for x in r] for r in rows], den // g
+        return object.__new__(cls)._fill(
+            DELTA_FIELD, min_order + first, tuple(rows), den, factors, None)
 
     def _with_row(self, min_order: int, row):
         """A series of self's ring from a row in self's layout, over
-        self's denominator on Q."""
+        self's denominators on Q and Q(delta)."""
         if self._den is None:
             return TruncatedLaurentSeries(self.ring, min_order, row)
-        return TruncatedLaurentSeries._of_integers(min_order, row, self._den)
+        if self._factors is None:
+            return TruncatedLaurentSeries._of_integers(
+                min_order, row, self._den)
+        return TruncatedLaurentSeries._of_factored(
+            min_order, row, self._den, self._factors)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedLaurentSeries is immutable")
@@ -365,11 +463,20 @@ class TruncatedLaurentSeries:
 
     @property
     def coeffs(self) -> tuple:
-        """The stored coefficients, over Q as Fractions built on first read."""
+        """The stored coefficients, over Q and Q(delta) built on first
+        read; a Q(delta) coefficient is reduced to its canonical form."""
         cs = self._coeffs
         if cs is None:
             d = self._den
-            cs = tuple(Fraction(x, d) for x in self._row)
+            if self._factors is None:
+                cs = tuple(Fraction(x, d) for x in self._row)
+            else:
+                # prod_p p^k is primitive by Gauss's lemma
+                q = (1,)
+                for p, k in self._factors.items():
+                    q = tuple(_poly_times(q, _power(p, k)))
+                cs = tuple(DeltaRationalFunction._of_integers(r, d, q)
+                           for r in self._row)
             object.__setattr__(self, "_coeffs", cs)
         return cs
 
@@ -391,8 +498,10 @@ class TruncatedLaurentSeries:
                 f"> {exponent}, have {self.precision}")
         if exponent < self.min_order:
             return self.ring.zero
-        c = self._row[exponent - self.min_order]
-        return c if self._den is None else Fraction(c, self._den)
+        i = exponent - self.min_order
+        if self._coeffs is None and self._factors is None:
+            return Fraction(self._row[i], self._den)
+        return self.coeffs[i]
 
     # -- ring operations ----------------------------------------------------
 
@@ -413,11 +522,15 @@ class TruncatedLaurentSeries:
             out = [self.coefficient(k) + other.coefficient(k)
                    for k in range(lo, prec)]
             return TruncatedLaurentSeries(self.ring, lo, out)
+        if self._factors is not None:
+            return TruncatedLaurentSeries._of_factored(lo, *_factored_sum(
+                (_aligned(self, lo, prec, ()), self._den, self._factors),
+                (_aligned(other, lo, prec, ()), other._den, other._factors)))
         g = math.gcd(self._den, other._den)
         fa, fb = other._den // g, self._den // g
         return TruncatedLaurentSeries._of_integers(
-            lo, [x + y for x, y in zip(_q_row(self, lo, prec, fa),
-                                       _q_row(other, lo, prec, fb))],
+            lo, [x * fa + y * fb for x, y in zip(
+                _aligned(self, lo, prec, 0), _aligned(other, lo, prec, 0))],
             self._den * fa)
 
     def __sub__(self, other):
@@ -426,6 +539,9 @@ class TruncatedLaurentSeries:
         return self + (-other)
 
     def __neg__(self):
+        if self._factors is not None:
+            return self._with_row(self.min_order,
+                                  [[-v for v in r] for r in self._row])
         return self._with_row(self.min_order, [-c for c in self._row])
 
     def __mul__(self, other):
@@ -439,6 +555,11 @@ class TruncatedLaurentSeries:
             if self._den is None:
                 return TruncatedLaurentSeries(
                     self.ring, lo, self.ring.convolve(self._row, other._row, n))
+            if self._factors is not None:
+                return TruncatedLaurentSeries._of_factored(
+                    lo, *_factored_product(
+                        (self._row, self._den, self._factors),
+                        (other._row, other._den, other._factors), n))
             return TruncatedLaurentSeries._of_integers(
                 lo, _convolve_integers(self._row, other._row, n),
                 self._den * other._den)
@@ -453,10 +574,16 @@ class TruncatedLaurentSeries:
             return zero_series(self.ring, self.precision)
         if self._den is None:
             return self._with_row(self.min_order, [c * x for x in self._row])
-        k = c.numerator
-        return TruncatedLaurentSeries._of_integers(
-            self.min_order, [k * x for x in self._row],
-            self._den * c.denominator)
+        if self._factors is None:
+            k = c.numerator
+            return TruncatedLaurentSeries._of_integers(
+                self.min_order, [k * x for x in self._row],
+                self._den * c.denominator)
+        # the product with the one-slot window of c
+        return TruncatedLaurentSeries._of_factored(
+            self.min_order, *_factored_product(
+                (self._row, self._den, self._factors),
+                _factored_values((c,)), len(self._row)))
 
     # -- the projector pair -------------------------------------------------
 
@@ -467,7 +594,10 @@ class TruncatedLaurentSeries:
         row = self._row
         # the first k stored coefficients sit at negative exponents
         k = min(len(row), max(0, -self.min_order))
-        zero = self.ring.zero if self._den is None else 0
+        if self._den is None:
+            zero = self.ring.zero
+        else:
+            zero = 0 if self._factors is None else ()
         if poles:
             row = row[:k] + (zero,) * (len(row) - k)
         else:
@@ -502,10 +632,13 @@ class TruncatedLaurentSeries:
         at the lowered exponent, since T differentiates to 1/eps.
         """
         ring, mo = self.ring, self.min_order
+        if self._factors is not None:
+            return self._with_row(
+                mo - 1, [[k * v for v in r] if k else []
+                         for k, r in enumerate(self._row, mo)])
         if self._den is not None:
-            return TruncatedLaurentSeries._of_integers(
-                mo - 1, [k * x for k, x in enumerate(self._row, mo)],
-                self._den)
+            return self._with_row(
+                mo - 1, [k * x for k, x in enumerate(self._row, mo)])
         return TruncatedLaurentSeries(
             ring, mo - 1,
             [k * c + ring.coefficient_derivative(c) for k, c in self.terms()])
@@ -534,17 +667,20 @@ class TruncatedLaurentSeries:
         """Numeric value of the window at eps = x; rational ring only."""
         return sum(float(c) * x ** k for k, c in self.terms())
 
+    def _key(self) -> tuple:
+        # the Q and Q[T] layouts are canonical; a Q(delta) window is not,
+        # and compares its canonical coefficients
+        if self._factors is None:
+            return self.min_order, self._den, self._row
+        return self.min_order, self.coeffs
+
     def __eq__(self, other):
-        # the Q layout is canonical, so equal values store equal integers
         if not isinstance(other, TruncatedLaurentSeries):
             return NotImplemented
-        return (self.ring is other.ring
-                and self.min_order == other.min_order
-                and self._den == other._den
-                and self._row == other._row)
+        return self.ring is other.ring and self._key() == other._key()
 
     def __hash__(self):
-        return hash((id(self.ring), self.min_order, self._den, self._row))
+        return hash((id(self.ring),) + self._key())
 
     def __str__(self):
         parts = []
@@ -618,5 +754,9 @@ def windows_agree(a: TruncatedLaurentSeries,
     if a._den is None:
         return all(a.coefficient(k) == b.coefficient(k)
                    for k in range(lo, prec))
+    if a._factors is not None:
+        # a - b is known on [lo, prec), in the layout
+        return (a - b).is_zero_window()
     # x / a._den == y / b._den, cross-multiplied
-    return _q_row(a, lo, prec, b._den) == _q_row(b, lo, prec, a._den)
+    return [x * b._den for x in _aligned(a, lo, prec, 0)] == \
+        [y * a._den for y in _aligned(b, lo, prec, 0)]

@@ -45,27 +45,26 @@ and divides out their common content once; no ``Fraction`` is built.
 
 Over Q(delta) the recursion runs on integer windows too.
 ``hopf._check_direction`` admits only delta-polynomial directions, so every
-cumulative direction rho_l is a polynomial: the pole coefficient of
+cumulative direction rho_l is a polynomial, summed from the letters as a
+rational content and a primitive part: the pole coefficient of
 W(a, rho_l) is a constant over rho_l^(a+1) and its Taylor coefficients are
 polynomials.  Products and sums of such windows only multiply these
-denominators together, so every denominator of every F(l, e) is an integer
-times a product of powers of the rho_l.  A window therefore holds one
-integer delta-polynomial numerator per eps-coefficient over one shared
-integer denominator and one shared polynomial denominator, kept factored as
-{primitive rho_l: exponent}; rho_l that agree up to a constant (1 + d and
-2 + 2d) share a factor.  A product convolves the numerator polynomials on
-the integer loop of ``arith``, multiplies the integer denominators and adds
-the exponents.  A sum lifts both windows to the larger exponent of each
-factor, with the powers of a factor memoized for one expansion, and
-combines the integer denominators through one gcd, as over Q.  Nothing is
-reduced on the way.  At the root each integer row, the integer denominator
-and the product of the primitive factors go to the field's integer
-constructor, which takes one gcd and builds one Fraction per coefficient,
-so every coefficient lands in the canonical form c p/q the field operators
-give.  That form is what ``limit_at_zero`` reads, so a q that still
-vanishes at delta = 0 is a genuine pole and raises PoleAtZero exactly where
-it did before, never a removable 0/0 left over from factors kept apart (d
-and d + d^2 share d and are two factors).
+denominators together, so every denominator of every F(l, e) is an
+integer times a product of powers of the rho_l.  A window therefore holds
+one integer delta-polynomial numerator per eps-coefficient over one shared
+integer denominator and one shared polynomial denominator, kept factored
+as {primitive rho_l: exponent}; rho_l that agree up to a constant (1 + d
+and 2 + 2d) share a factor.  That is the layout of the Q(delta) series,
+and the windows combine through its helpers (``laurent``): a product
+convolves the rows and adds the exponents, a sum lifts both windows to
+the larger exponent of each factor and combines the integer denominators
+through one gcd, as over Q.  Nothing is reduced on the way, and the root
+is handed to the series unreduced: a coefficient is reduced to the
+canonical c p/q only when it is read.  That form is what
+``limit_at_zero`` reads, so a q that still vanishes at delta = 0 is a
+genuine pole and raises PoleAtZero exactly where the field would, never a
+removable 0/0 left over from factors kept apart (d and d + d^2 share d and
+are two factors).
 
 One place builds every one-variable window, for the expansion and
 one_var_series alike, straight into this integer layout.  With rho = c p,
@@ -81,8 +80,8 @@ of the longest window asked for, over their least common denominator.  A
 longer request extends the entry: it builds only the scalars the entry
 lacks and brings the old numerators over the new lcm.  A shorter one
 slices the numerators over the same den.  The slice is exact but need not
-be in lowest terms, and both roots reduce it: the Q series divides out its
-content, and the field's integer constructor takes its gcd.  The memo
+be in lowest terms; both series layouts divide out the integer content of
+a new window, and a Q(delta) coefficient is reduced when read.  The memo
 holds one entry per (b, c) ever asked for and grows with the direction
 contents of the process.  Entries are replaced whole, never changed in
 place, so concurrent callers at worst build an entry twice.
@@ -92,6 +91,10 @@ and the constant term of its pole-free part at a given direction vector is
 the directional renormalized value.  The direction-free value at s takes
 directions |s_i| + delta, lands in Q(delta), and evaluates at delta = 0;
 when the canonical form still has a pole there, PoleAtZero propagates.
+An argument is validated once, by argument_word; the character expands
+the words of a validated argument through the private recursion entry
+_expansion, and only the public regularized_expansion and
+expansion_plans validate their input.
 
 The character sizes each word to what the decomposition reads (birkhoff
 module docstring): with budget B, a word of pole depth M is expanded at
@@ -120,14 +123,11 @@ from fractions import Fraction
 from itertools import accumulate
 
 from renzeta.arith import (
-    DELTA,
     DeltaRationalFunction,
     _convolve_integers,
-    _convolve_rows,
     _over_common_denominator,
-    _poly_times,
+    _primitive,
     _row_sum,
-    poly_add,
     zeta_nonpositive,
 )
 from renzeta.birkhoff import (
@@ -141,6 +141,9 @@ from renzeta.laurent import (
     DELTA_FIELD,
     RATIONAL_FIELD,
     TruncatedLaurentSeries,
+    _factored_product,
+    _factored_sum,
+    _power,
 )
 
 __all__ = [
@@ -210,21 +213,37 @@ def _compositions(total: int, slots: int):
             yield (first,) + rest
 
 
+def _pair_sum(a, b) -> tuple:
+    """The (content, primitive part) pair of the sum of two
+    delta-polynomials given as such pairs."""
+    (ca, pa), (cb, pb) = a, b
+    na, da = ca.as_integer_ratio()
+    nb, db = cb.as_integer_ratio()
+    k, p = _primitive(_row_sum(pa, na * db, pb, nb * da))
+    return Fraction(k, da * db), p
+
+
+def _slots(word, ring):
+    """The m_i = -s_i of a validated word and its cumulative directions
+    rho_l: Fractions over Q; over Q(delta), where hopf._check_direction
+    admits only delta-polynomial directions, pairs (c, p) of the rational
+    content and the primitive integer part, summed on integers (a rational
+    direction r is (r, (1,)), so a rational prefix still gets Q(delta)
+    windows)."""
+    ms = tuple(-l.s for l in word)
+    if ring is RATIONAL_FIELD:
+        return ms, tuple(accumulate(l.r for l in word))
+    pairs = ((l.r._c, l.r._p) if isinstance(l.r, DeltaRationalFunction)
+             else (l.r, (1,)) for l in word)
+    return ms, tuple(accumulate(pairs, _pair_sum))
+
+
 def _cumulative(exponents, directions):
-    """The m_i = -s_i of a validated argument and its cumulative directions
-    in the argument's ring: Q(delta) once any direction is, so a rational
-    prefix still gets Q(delta) windows."""
+    """The ring of a validated argument, its m_i = -s_i and its cumulative
+    directions (_slots)."""
     word = argument_word(exponents, directions)
     ring = _ring_for(tuple(l.r for l in word))
-    rs = (ring.coerce(l.r) for l in word)
-    if ring is DELTA_FIELD:
-        # delta-polynomial directions (hopf._check_direction) add as
-        # polynomials, with no field operation
-        rs = (DeltaRationalFunction(n) for n in accumulate(
-            (r.num for r in rs), poly_add))
-    else:
-        rs = accumulate(rs)
-    return tuple(-l.s for l in word), tuple(rs)
+    return (ring,) + _slots(word, ring)
 
 
 def expansion_plans(exponents, directions):
@@ -234,7 +253,9 @@ def expansion_plans(exponents, directions):
     This is the public monomial enumeration and the oracle the tests sum
     plan by plan; regularized_expansion no longer uses it.
     """
-    ms, rho = _cumulative(exponents, directions)
+    ring, ms, rho = _cumulative(exponents, directions)
+    if ring is DELTA_FIELD:
+        rho = tuple(DeltaRationalFunction._new(c, p, (1,)) for c, p in rho)
     k = len(ms)
     poly = {(0,) * k: 1}
     for i, m in enumerate(ms):
@@ -263,8 +284,10 @@ def one_var_series(power: int, direction,
         raise ValueError("slot power must be >= 0")
     if precision < 1:
         raise ValueError("window must reach past eps^0")
-    return _one_var_integers(power, _check_direction(direction), precision,
-                             {}).series()
+    rho = _check_direction(direction)
+    if isinstance(rho, DeltaRationalFunction):
+        rho = rho._c, rho._p
+    return _one_var_integers(power, rho, precision).series()
 
 
 class _QWindow:
@@ -304,79 +327,39 @@ class _QWindow:
             self.min_order, self.nums, self.den)
 
 
-def _power(powers, p, k) -> list:
-    """p^k for a primitive factor p, from the expansion's memo."""
-    out = powers.get((p, k))
-    if out is None:
-        out = [1] if k == 0 else _poly_times(_power(powers, p, k - 1), p)
-        powers[p, k] = out
-    return out
-
-
 class _DeltaWindow:
-    """A Q(delta) window as integer delta-polynomials over one shared
-    denominator: nums[i] / (den * prod_p p^factors[p]) at
-    eps^(min_order + i), each p a primitive integer polynomial kept as a
-    tuple (module docstring).  powers is the memo of factor powers of one
-    expansion.
+    """A Q(delta) window in the factored layout of the Q(delta) series
+    (``laurent``): layout = (rows, den, factors) stands for
+    rows[i] / (den * prod_p p^factors[p]) at eps^(min_order + i).
 
-    The sibling of _QWindow, with its interface and its range discipline.
+    The sibling of _QWindow, with its interface and its range discipline;
+    its sum and product are the series' own helpers.
     """
 
-    __slots__ = ("min_order", "nums", "den", "factors", "powers")
+    __slots__ = ("min_order", "layout")
 
-    def __init__(self, min_order, nums, den, factors, powers):
+    def __init__(self, min_order, layout):
         self.min_order = min_order
-        self.nums = nums
-        self.den = den
-        self.factors = factors
-        self.powers = powers
+        self.layout = layout
 
     def __mul__(self, other):
-        n = min(len(self.nums), len(other.nums))
-        rows = _convolve_rows(self.nums, other.nums, n)
-        factors = dict(self.factors)
-        for p, k in other.factors.items():
-            factors[p] = factors.get(p, 0) + k
-        return _DeltaWindow(self.min_order + other.min_order, rows,
-                            self.den * other.den, factors, self.powers)
-
-    def _lifted(self, factors) -> list:
-        """nums over prod_p p^factors[p], factors covering self's."""
-        lift = [1]
-        for p, k in factors.items():
-            extra = k - self.factors.get(p, 0)
-            if extra:
-                lift = _poly_times(lift, _power(self.powers, p, extra))
-        if lift == [1]:
-            return self.nums
-        return [_poly_times(r, lift) for r in self.nums]
+        n = min(len(self.layout[0]), len(other.layout[0]))
+        return _DeltaWindow(self.min_order + other.min_order,
+                            _factored_product(self.layout, other.layout, n))
 
     def __add__(self, other):
-        factors = dict(self.factors)
-        for p, k in other.factors.items():
-            factors[p] = max(k, factors.get(p, 0))
-        g = math.gcd(self.den, other.den)
-        fa, fb = other.den // g, self.den // g
-        nums = [_row_sum(x, fa, y, fb) for x, y in
-                zip(self._lifted(factors), other._lifted(factors))]
-        return _DeltaWindow(self.min_order, nums, self.den * fa, factors,
-                            self.powers)
+        return _DeltaWindow(self.min_order,
+                            _factored_sum(self.layout, other.layout))
 
     def scale(self, c: int):
+        rows, den, factors = self.layout
         return _DeltaWindow(self.min_order,
-                            [[c * v for v in r] for r in self.nums],
-                            self.den, self.factors, self.powers)
+                            ([[c * v for v in r] for r in rows], den, factors))
 
     def series(self) -> TruncatedLaurentSeries:
-        # the integer constructor gives each coefficient its canonical form
-        q = [1]
-        for p, k in self.factors.items():
-            q = _poly_times(q, _power(self.powers, p, k))
-        return TruncatedLaurentSeries(
-            DELTA_FIELD, self.min_order,
-            [DeltaRationalFunction._of_integers(r, self.den, q)
-             for r in self.nums])
+        # handed over unreduced: a coefficient is reduced when it is read
+        return TruncatedLaurentSeries._of_factored(self.min_order,
+                                                   *self.layout)
 
 
 # (b, c) -> (den, nums) of the longest W(b, c) asked for, the pole numerator
@@ -395,18 +378,13 @@ def _one_var_scalar(b, c, j) -> Fraction:
     return z * c ** j / math.factorial(j) if z else z
 
 
-def _one_var_integers(b, rho, precision, powers):
-    """W(b, rho) on [-(b+1), precision) in the expansion's integer layout,
-    for rho = c p (module docstring): the first precision + 1 numerators
-    of the memo entry of (b, c) over its den, the entry extended first if
-    it is shorter.  A _QWindow for a rational rho, else a _DeltaWindow over
-    the factor {p: b+1}, c and p read off the delta-polynomial's canonical
-    form and the powers of p from the expansion's memo powers."""
-    if isinstance(rho, DeltaRationalFunction):
-        # a constant rho has p = (1,) and no factor
-        c, p = rho._c, rho._p
-    else:
-        c, p = rho, None
+def _one_var_integers(b, rho, precision):
+    """W(b, rho) on [-(b+1), precision) in the expansion's integer layout
+    (module docstring): the first precision + 1 numerators of the memo
+    entry of (b, c) over its den, the entry extended first if it is
+    shorter.  A _QWindow for a rational rho = c, else a _DeltaWindow over
+    the factor {p: b+1} for the pair rho = (c, p)."""
+    c, p = rho if isinstance(rho, tuple) else (rho, None)
     den, nums = _one_var_windows.get((b, c), (1, []))
     if len(nums) <= precision:
         # build only the scalars the entry lacks and bring the old
@@ -424,10 +402,10 @@ def _one_var_integers(b, rho, precision, powers):
     if p is None:
         return _QWindow(-(b + 1), [top] + [0] * b + nums, den)
     rows = [[top]] + [[]] * b + [
-        [n * x for x in _power(powers, p, j + b + 1)] if n else []
+        [n * x for x in _power(p, j + b + 1)] if n else []
         for j, n in enumerate(nums)]
-    return _DeltaWindow(-(b + 1), rows, den,
-                        {p: b + 1} if len(p) > 1 else {}, powers)
+    return _DeltaWindow(-(b + 1), (rows, den,
+                                   {p: b + 1} if len(p) > 1 else {}))
 
 
 def regularized_expansion(exponents, directions,
@@ -442,16 +420,21 @@ def regularized_expansion(exponents, directions,
     """
     if precision < 1:
         raise ValueError("window must reach past eps^0")
-    ms, rho = _cumulative(exponents, directions)
+    _, ms, rho = _cumulative(exponents, directions)
+    return _expansion(ms, rho, precision)
+
+
+def _expansion(ms, rho, precision: int) -> TruncatedLaurentSeries:
+    """regularized_expansion of the slot powers ms and the cumulative
+    directions rho of a validated word (_slots), precision >= 1."""
     k = len(ms)
     length = precision + sum(ms) + k
     tops = tuple(accumulate(ms))
-    powers = {}
     # level maps each carried exponent e of the current slot to F(slot, e)
-    level = {e: _one_var_integers(e, rho[-1], length - (e + 1), powers)
+    level = {e: _one_var_integers(e, rho[-1], length - (e + 1))
              for e in range(ms[-1], tops[-1] + 1)}
     for slot in range(k - 2, -1, -1):
-        windows = [_one_var_integers(a, rho[slot], length - (a + 1), powers)
+        windows = [_one_var_integers(a, rho[slot], length - (a + 1))
                    for a in range(tops[slot] + 1)]
         inner, level = level, {}
         for e in range(ms[slot], tops[slot] + 1):
@@ -482,10 +465,10 @@ def expansion_character(ring, taylor_order: int,
 
     def word_fn(word: Word) -> TruncatedLaurentSeries:
         # the character owns the ring: a rational sub-word of a Q(delta)
-        # argument must still land in Q(delta)
-        return regularized_expansion(
-            tuple(l.s for l in word), tuple(ring.coerce(l.r) for l in word),
-            budget.requested_precision - word.pole_depth())
+        # argument must still land in Q(delta); its letters were validated
+        # when the word was built
+        return _expansion(*_slots(word, ring),
+                          budget.requested_precision - word.pole_depth())
 
     return Character(ring, word_fn, budget)
 
@@ -528,7 +511,9 @@ def renorm_mzv(exponents) -> Fraction:
     s = tuple(exponents)
     if 0 not in s:
         return renorm_directional(s, tuple(Fraction(-x) for x in s))
-    directions = tuple(Fraction(-x) + DELTA for x in s)
+    # |s_i| + delta in canonical form: content 1, primitive (|s_i|, 1)
+    directions = tuple(DeltaRationalFunction._new(Fraction(1), (-x, 1), (1,))
+                       for x in s)
     value = renorm_directional(s, directions)
     return value.limit_at_zero()
 

@@ -54,19 +54,23 @@ def test_traced_pass_reaches_every_layer():
         "laurent.mul_q_calls": 3, "laurent.mul_q_coeff_ops": 32,
         "laurent.mul_qdelta_calls": 1, "laurent.mul_qdelta_coeff_ops": 4,
         "laurent.add_calls": 4}
-    # the Q(delta) work of the word with a zero: operators, field gcds and
-    # the widest coefficient an operator produces; a gcd with a constant
-    # operand is counted and returns at once, and cancelling across before
-    # multiplying takes gcds of the operands, not a full reduction of each
-    # product.  The one-variable windows and the expansion run no
-    # operator: only the decomposition does, and the expansion's root
-    # reduces each coefficient once through the integer constructor's gcd
+    # the Q(delta) work of the word with a zero: the series keep the
+    # expansion's factored integer layout, so neither the expansion nor the
+    # decomposition runs a field operator or a gcd.  A coefficient is
+    # reduced, with one gcd, when it is read: here the constant term, and
+    # the 4 nonzero coefficients of the two factors of the one Q(delta)
+    # product, which the tracer reads to count multiply-adds
     assert {key: counters[key] for key in (
         "arith.qdelta_ops", "arith.poly_gcd_calls",
         "arith.value_max_bits")} == {
-        "arith.qdelta_ops": 22, "arith.poly_gcd_calls": 27,
-        "arith.value_max_bits": 6}
-    # the mzv work: expansions and the words the sessions decompose
+        "arith.qdelta_ops": 0, "arith.poly_gcd_calls": 5,
+        "arith.value_max_bits": 0}
+    # the mzv work: the words the sessions decompose, each expanded once
+    # by a character call; the character passes a word's letters to the
+    # private recursion entry, not to the traced public
+    # regularized_expansion
     assert {key: counters[key] for key in (
-        "mzv.expansion_calls", "birkhoff.words_decomposed")} == {
-        "mzv.expansion_calls": 9, "birkhoff.words_decomposed": 5}
+        "mzv.expansion_calls", "birkhoff.character_calls",
+        "birkhoff.words_decomposed")} == {
+        "mzv.expansion_calls": 0, "birkhoff.character_calls": 9,
+        "birkhoff.words_decomposed": 5}

@@ -162,6 +162,22 @@ def test_mixed_delta_series_window_bytes(capsys, fmt, digest):
             "81", "243", "1197/4", "387/2", "277/4", "13", "1"]
 
 
+# Q(delta) JSON outputs that no recorded benchmark output covers: a
+# directional value at three delta directions and a whole series window
+# whose regularized part has poles at delta = 0
+@pytest.mark.parametrize("argv, digest", [
+    (["directional", "--s=0,-1,0", "--r=d,1+d,2+d", "--format", "json"],
+     "48d03ba2850aada7cfd56c750f59b787b53e5bb451c91f822f6c30a8fc1326c5"),
+    (["series", "--s=0,0,-1", "--r=d,2d,1+d", "--prec", "5",
+      "--format", "json"],
+     "4754eed5b2e201bc51f94c3567f8b3acd52311313fe03000a3141b01b3952c1c"),
+])
+def test_delta_direction_json_bytes(capsys, argv, digest):
+    rc, out, err = run(capsys, argv)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_mixed_rational_and_delta_directions(capsys):
     for argv in (["directional", "--s", "0,0", "--r", "1+d,2"],
                  ["series", "--s", "0,-1", "--r", "1/2,d"]):
@@ -214,18 +230,19 @@ def test_series_precision_from_environment(capsys, monkeypatch):
 
 
 def test_series_expands_the_full_word_once(capsys, monkeypatch):
-    # both windows come from one decomposition session
+    # both windows come from one decomposition session, whose character
+    # expands each word through the private recursion entry
     seen = []
-    expand = mzv.regularized_expansion
+    expand = mzv._expansion
 
-    def spy(exponents, directions, precision):
-        seen.append(tuple(exponents))
-        return expand(exponents, directions, precision)
+    def spy(ms, rho, precision):
+        seen.append(ms)
+        return expand(ms, rho, precision)
 
-    monkeypatch.setattr(mzv, "regularized_expansion", spy)
+    monkeypatch.setattr(mzv, "_expansion", spy)
     rc, _, _ = run(capsys, ["series", "--s", "0,-1", "--r", "1,2"])
     assert rc == 0
-    assert seen.count((0, -1)) == 1
+    assert seen.count((0, 1)) == 1
 
 
 def test_series_json_schema(capsys):
@@ -554,7 +571,7 @@ def test_precision_exit_code(capsys, monkeypatch):
     def starved(*args, **kwargs):
         raise InsufficientPrecision("window exhausted")
 
-    monkeypatch.setattr(mzv, "regularized_expansion", starved)
+    monkeypatch.setattr(mzv, "_expansion", starved)
     rc, _, err = run(capsys, ["series", "--s", "0", "--r", "1"])
     assert rc == cli.EXIT_PRECISION
     assert "window exhausted" in err

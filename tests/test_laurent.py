@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renzeta.arith import DELTA, zeta_nonpositive
+from renzeta.arith import (
+    DELTA,
+    DeltaRationalFunction,
+    PoleAtZero,
+    zeta_nonpositive,
+)
 from renzeta.laurent import (
     DELTA_FIELD,
     IncompletePolePart,
@@ -25,6 +30,7 @@ from renzeta.laurent import (
     windows_agree,
     zero_series,
 )
+from renzeta.mzv import regularized_expansion
 
 F = Fraction
 Q = RATIONAL_FIELD
@@ -234,6 +240,19 @@ class TestDeltaCoefficients:
                        {"num": [], "den": ["1"]}],
         }
 
+    def test_reading_reduces_before_the_limit(self):
+        # delta * (1/delta) is stored unreduced, over the factor delta; read,
+        # it is 1 with a limit at 0, while 1/delta keeps its genuine pole
+        def window(value):
+            return TruncatedLaurentSeries(DELTA_FIELD, 0, [value])
+
+        one = window(DELTA) * window(1 / DELTA)
+        assert one._row == ([0, 1],) and one._factors == {(0, 1): 1}
+        assert one.constant_term() == 1
+        assert one.constant_term().limit_at_zero() == 1
+        with pytest.raises(PoleAtZero):
+            (one * window(1 / DELTA)).constant_term().limit_at_zero()
+
     def test_no_float_evaluation(self):
         s = series_from_terms(DELTA_FIELD, {0: DELTA}, 1)
         with pytest.raises(TypeError):
@@ -416,66 +435,73 @@ class TestSumReachingPastAWindow:
             assert s == zero_series(ring, -1)
 
 
-# The Q series store integer numerators over one denominator; these tests
-# compare every operation with the coefficient-by-coefficient result over
-# Fractions, computed from the raw constructor input.
+# The Q and Q(delta) series store integer numerators; these tests compare
+# every operation with the coefficient-by-coefficient result over the
+# field, Fractions or Q(delta) values, computed from the raw constructor
+# input.
 
-def fraction_window(lo, vals):
+def field_window(lo, vals):
     """(min_order, coefficients) of a window in the documented normal
-    form: leading zeros dropped, a zero window kept as its last slot."""
-    vals = [F(v) for v in vals]
+    form: leading zeros dropped, a zero window kept as its last slot; ints
+    are read as Fractions."""
+    vals = [F(v) if isinstance(v, int) else v for v in vals]
     first = 0
     while first < len(vals) - 1 and vals[first] == 0:
         first += 1
     return lo + first, tuple(vals[first:])
 
 
-def fraction_coefficient(w, k):
+def field_zero(w):
+    return w[1][0] * 0
+
+
+def field_coefficient(w, k):
     lo, vals = w
-    return vals[k - lo] if k >= lo else F(0)
+    return vals[k - lo] if k >= lo else field_zero(w)
 
 
-def fraction_precision(w):
+def field_precision(w):
     return w[0] + len(w[1])
 
 
-def fraction_sum(a, b):
+def field_sum(a, b):
     lo = min(a[0], b[0])
-    prec = min(fraction_precision(a), fraction_precision(b))
-    return fraction_window(lo, [fraction_coefficient(a, k)
-                                + fraction_coefficient(b, k)
-                                for k in range(lo, prec)])
+    prec = min(field_precision(a), field_precision(b))
+    return field_window(lo, [field_coefficient(a, k)
+                             + field_coefficient(b, k)
+                             for k in range(lo, prec)])
 
 
-def fraction_product(a, b):
+def field_product(a, b):
+    """The schoolbook product: one field multiply-add per coefficient
+    pair."""
     n = min(len(a[1]), len(b[1]))
-    out = [F(0)] * n
+    out = [field_zero(a)] * n
     for i, x in enumerate(a[1][:n]):
         for j, y in enumerate(b[1][:n - i]):
-            out[i + j] += x * y
-    return fraction_window(a[0] + b[0], out)
+            out[i + j] = out[i + j] + x * y
+    return field_window(a[0] + b[0], out)
 
 
-def fraction_scale(a, c):
+def field_scale(a, c):
     if c == 0:
-        return fraction_window(fraction_precision(a) - 1, [0])
-    return fraction_window(a[0], [c * x for x in a[1]])
+        return field_window(field_precision(a) - 1, [field_zero(a)])
+    return field_window(a[0], [c * x for x in a[1]])
 
 
-def fraction_projection(a, poles):
-    return fraction_window(a[0], [x if (k < 0) == poles else F(0)
-                                  for k, x in enumerate(a[1], a[0])])
+def field_projection(a, poles):
+    return field_window(a[0], [x if (k < 0) == poles else field_zero(a)
+                               for k, x in enumerate(a[1], a[0])])
 
 
-def fraction_derivative(a):
-    return fraction_window(a[0] - 1, [k * x for k, x in enumerate(a[1],
-                                                                    a[0])])
+def field_derivative(a):
+    return field_window(a[0] - 1, [k * x for k, x in enumerate(a[1], a[0])])
 
 
-def fraction_truncated(a, prec):
+def field_truncated(a, prec):
     if prec <= a[0]:
-        return fraction_window(prec - 1, [0])
-    return fraction_window(a[0], a[1][:prec - a[0]])
+        return field_window(prec - 1, [field_zero(a)])
+    return field_window(a[0], a[1][:prec - a[0]])
 
 
 q_value = st.one_of(
@@ -491,11 +517,12 @@ raw_q_window = st.tuples(
 
 
 def check_against(series, window):
-    """series holds exactly window, reads as Fractions, and is the value
-    the public constructor builds from it."""
+    """series holds exactly window, reads as elements of its ring, and is
+    the value the public constructor builds from it."""
+    ring = series.ring
     assert (series.min_order, series.coeffs) == window
-    assert all(type(c) is F for c in series.coeffs)
-    built = TruncatedLaurentSeries(Q, *window)
+    assert all(type(c) is type(ring.zero) for c in series.coeffs)
+    built = TruncatedLaurentSeries(ring, *window)
     assert built == series and hash(built) == hash(series)
     assert series.is_zero_window() == all(c == 0 for c in window[1])
 
@@ -505,17 +532,17 @@ class TestIntegerLayoutAgainstFractions:
     @settings(max_examples=200, deadline=None)
     def test_ring_operations(self, ra, rb):
         a, b = (TruncatedLaurentSeries(Q, *r) for r in (ra, rb))
-        wa, wb = fraction_window(*ra), fraction_window(*rb)
+        wa, wb = field_window(*ra), field_window(*rb)
         check_against(a, wa)
-        check_against(a + b, fraction_sum(wa, wb))
-        neg_b = fraction_scale(wb, F(-1))
+        check_against(a + b, field_sum(wa, wb))
+        neg_b = field_scale(wb, F(-1))
         check_against(-b, neg_b)
-        check_against(a - b, fraction_sum(wa, neg_b))
-        check_against(a * b, fraction_product(wa, wb))
+        check_against(a - b, field_sum(wa, neg_b))
+        check_against(a * b, field_product(wa, wb))
         lo = min(wa[0], wb[0])
-        prec = min(fraction_precision(wa), fraction_precision(wb))
+        prec = min(field_precision(wa), field_precision(wb))
         assert windows_agree(a, b) == all(
-            fraction_coefficient(wa, k) == fraction_coefficient(wb, k)
+            field_coefficient(wa, k) == field_coefficient(wb, k)
             for k in range(lo, prec))
         assert (a == b) == (wa == wb)
 
@@ -524,24 +551,24 @@ class TestIntegerLayoutAgainstFractions:
     @settings(max_examples=200, deadline=None)
     def test_unary_operations(self, ra, p, q):
         a = TruncatedLaurentSeries(Q, *ra)
-        wa = fraction_window(*ra)
-        check_against(a.scale(0), fraction_scale(wa, F(0)))
-        check_against(a.scale(-F(p, q)), fraction_scale(wa, -F(p, q)))
-        check_against(a.derivative(), fraction_derivative(wa))
-        for prec in range(fraction_precision(wa) - 3,
-                          fraction_precision(wa) + 1):
-            check_against(a.truncated(prec), fraction_truncated(wa, prec))
-        for k in range(wa[0] - 2, fraction_precision(wa)):
+        wa = field_window(*ra)
+        check_against(a.scale(0), field_scale(wa, F(0)))
+        check_against(a.scale(-F(p, q)), field_scale(wa, -F(p, q)))
+        check_against(a.derivative(), field_derivative(wa))
+        for prec in range(field_precision(wa) - 3,
+                          field_precision(wa) + 1):
+            check_against(a.truncated(prec), field_truncated(wa, prec))
+        for k in range(wa[0] - 2, field_precision(wa)):
             c = a.coefficient(k)
-            assert type(c) is F and c == fraction_coefficient(wa, k)
-        if fraction_precision(wa) < 0:
+            assert type(c) is F and c == field_coefficient(wa, k)
+        if field_precision(wa) < 0:
             with pytest.raises(IncompletePolePart):
                 a.pole_part()
             with pytest.raises(IncompletePolePart):
                 a.finite_part()
         else:
-            check_against(a.pole_part(), fraction_projection(wa, True))
-            check_against(a.finite_part(), fraction_projection(wa, False))
+            check_against(a.pole_part(), field_projection(wa, True))
+            check_against(a.finite_part(), field_projection(wa, False))
 
     @given(raw_q_window)
     @settings(max_examples=100, deadline=None)
@@ -551,6 +578,128 @@ class TestIntegerLayoutAgainstFractions:
                   copy.deepcopy(a)):
             assert b == a and hash(b) == hash(a)
             assert b.coeffs == a.coeffs and b.ring is Q
+
+
+# Q(delta) values whose denominators are products of the forms a + l*delta
+# (delta and 2*delta share a factor, as do 1 + delta and 2 + 2*delta) times
+# a constant, over small delta-polynomial numerators
+linear_form = st.builds(lambda a, l: a + l * DELTA,
+                        st.integers(min_value=0, max_value=2),
+                        st.integers(min_value=1, max_value=2))
+delta_value = st.one_of(
+    st.just(DELTA_FIELD.zero),
+    st.builds(lambda num, forms, c: DeltaRationalFunction(num) * c
+              / math.prod(forms, start=DELTA_FIELD.one),
+              st.lists(st.integers(min_value=-3, max_value=3), min_size=1,
+                       max_size=3),
+              st.lists(linear_form, max_size=2),
+              st.fractions(min_value=-4, max_value=4, max_denominator=6)))
+
+raw_delta_window = st.tuples(
+    st.integers(min_value=-4, max_value=2),
+    st.builds(lambda zeros, vals: [DELTA_FIELD.zero] * zeros + vals,
+              st.integers(min_value=0, max_value=2),
+              st.lists(delta_value, min_size=1, max_size=4)))
+
+# (series, field window) pairs, the series built by three routes: the
+# public constructor, the regularized expansion's root, which hands over
+# its factored window unreduced, and series arithmetic
+constructed = raw_delta_window.map(
+    lambda r: (TruncatedLaurentSeries(DELTA_FIELD, *r), field_window(*r)))
+
+
+def expanded_window(s, r, precision):
+    # the field window is read from a second expansion, so the series
+    # under test has no coefficient read before the operations run
+    w = regularized_expansion(s, r, precision)
+    return (regularized_expansion(s, r, precision),
+            (w.min_order, w.coeffs))
+
+
+expanded = st.integers(min_value=1, max_value=2).flatmap(
+    lambda k: st.builds(
+        expanded_window,
+        st.lists(st.integers(min_value=-1, max_value=0), min_size=k,
+                 max_size=k),
+        st.lists(st.sampled_from((DELTA, 1 + DELTA, 2 * DELTA,
+                                  F(1, 2) + DELTA)),
+                 min_size=k, max_size=k),
+        st.integers(min_value=1, max_value=3)))
+
+
+def combined(a, b, op):
+    (sa, wa), (sb, wb) = a, b
+    if op == "*":
+        return sa * sb, field_product(wa, wb)
+    if op == "+":
+        return sa + sb, field_sum(wa, wb)
+    c = wb[1][-1]
+    return sa.scale(c), field_scale(wa, c)
+
+
+arithmetic = st.builds(combined, st.one_of(constructed, expanded),
+                       st.one_of(constructed, expanded),
+                       st.sampled_from(("*", "+", "scale")))
+delta_window = st.one_of(constructed, expanded, arithmetic)
+
+
+class TestFactoredLayoutAgainstTheField:
+    @given(delta_window, delta_window)
+    @settings(max_examples=100, deadline=None)
+    def test_ring_operations(self, pa, pb):
+        (a, wa), (b, wb) = pa, pb
+        lo = min(wa[0], wb[0])
+        prec = min(field_precision(wa), field_precision(wb))
+        # every result is built before any coefficient of a or b is read
+        got = [a + b, -b, a - b, a * b, a - a]
+        agree = windows_agree(a, b)
+        neg_b = field_scale(wb, -1)
+        for series, window in zip(got, [
+                field_sum(wa, wb), neg_b, field_sum(wa, neg_b),
+                field_product(wa, wb), field_sum(wa, field_scale(wa, -1))]):
+            check_against(series, window)
+        check_against(a, wa)
+        check_against(b, wb)
+        assert agree == all(
+            field_coefficient(wa, k) == field_coefficient(wb, k)
+            for k in range(lo, prec))
+        assert (a == b) == (wa == wb)
+
+    @given(delta_window, delta_value, st.integers(min_value=-3,
+                                                  max_value=3))
+    @settings(max_examples=100, deadline=None)
+    def test_unary_operations(self, pa, c, k):
+        a, wa = pa
+        prec = field_precision(wa)
+        got = [a.scale(0), a.scale(k), a.scale(c), a.derivative()]
+        got += [a.truncated(p) for p in range(prec - 3, prec + 1)]
+        reads = [a.coefficient(e) for e in range(wa[0] - 2, prec)]
+        want = [field_scale(wa, 0), field_scale(wa, k), field_scale(wa, c),
+                field_derivative(wa)]
+        want += [field_truncated(wa, p) for p in range(prec - 3, prec + 1)]
+        if prec < 0:
+            with pytest.raises(IncompletePolePart):
+                a.pole_part()
+            with pytest.raises(IncompletePolePart):
+                a.finite_part()
+        else:
+            got += [a.pole_part(), a.finite_part()]
+            want += [field_projection(wa, True), field_projection(wa, False)]
+        for series, window in zip(got, want, strict=True):
+            check_against(series, window)
+        assert reads == [field_coefficient(wa, e)
+                         for e in range(wa[0] - 2, prec)]
+        assert all(type(x) is DeltaRationalFunction for x in reads)
+
+    @given(delta_window)
+    @settings(max_examples=50, deadline=None)
+    def test_pickle_and_copy_round_trip(self, pa):
+        a, wa = pa
+        for b in (pickle.loads(pickle.dumps(a)), copy.copy(a),
+                  copy.deepcopy(a)):
+            assert b == a and hash(b) == hash(a)
+            assert b.ring is DELTA_FIELD
+            check_against(b, wa)
 
 
 t_coefficient = st.builds(

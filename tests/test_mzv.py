@@ -19,6 +19,7 @@ from renzeta.hopf import HopfElement, Word, quasi_shuffle
 from renzeta.laurent import (
     DELTA_FIELD,
     RATIONAL_FIELD,
+    TruncatedLaurentSeries,
     series_from_terms,
     windows_agree,
 )
@@ -573,6 +574,68 @@ class TestRenormalizedValues:
         assert len(calls) == 0
         renorm_mzv((0, -1))
         assert len(calls) > 0
+
+    @pytest.mark.parametrize("compute, args", [
+        (renorm_mzv, ((-1, 0, 0),)),
+        (renormalized_series, ((0, -1, 0), (DELTA, 1 + DELTA, DELTA), 2)),
+    ])
+    def test_zero_words_reduce_only_when_read(self, compute, args,
+                                              monkeypatch):
+        # the expansion and the decomposition keep Q(delta) series in the
+        # factored integer layout: no DeltaRationalFunction operator runs,
+        # and a polynomial gcd runs only while a coefficient is read
+        ops, gcds, reading = [], [], []
+        gcd = arith.poly_gcd
+
+        def counting_gcd(a, b):
+            gcds.append(bool(reading))
+            return gcd(a, b)
+
+        def read(fn):
+            def reader(*a):
+                reading.append(fn)
+                try:
+                    return fn(*a)
+                finally:
+                    reading.pop()
+            return reader
+
+        monkeypatch.setattr(arith, "poly_gcd", counting_gcd)
+        monkeypatch.setattr(TruncatedLaurentSeries, "coefficient",
+                            read(TruncatedLaurentSeries.coefficient))
+        monkeypatch.setattr(TruncatedLaurentSeries, "coeffs",
+                            property(read(TruncatedLaurentSeries.coeffs.fget)))
+        for name in ("__add__", "__radd__", "__neg__", "__sub__",
+                     "__rsub__", "__mul__", "__rmul__", "__truediv__",
+                     "__rtruediv__", "__pow__"):
+            op = getattr(DeltaRationalFunction, name)
+
+            def counted(*a, op=op, name=name):
+                ops.append(name)
+                return op(*a)
+
+            monkeypatch.setattr(DeltaRationalFunction, name, counted)
+        value = compute(*args)
+        if compute is renormalized_series:
+            assert gcds == []
+            value.coeffs
+        assert ops == []
+        assert gcds and all(gcds)
+
+    @pytest.mark.parametrize("s", [(-1, 0, 0), (0, -2), (-1, -2)])
+    def test_renorm_mzv_validates_its_argument_once(self, s, monkeypatch):
+        # the character expands the words of a validated argument without
+        # validating them again
+        calls = []
+        check = mzv.argument_word
+
+        def spy(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(mzv, "argument_word", spy)
+        renorm_mzv(s)
+        assert len(calls) == 1
 
     def test_mixed_rational_and_delta_directions(self):
         # the rational-delta probes at delta = 0 and delta = 1 are the
