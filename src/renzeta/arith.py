@@ -40,11 +40,11 @@ Every polynomial gcd goes through ``poly_gcd``.
 Products of Fraction polynomials (``poly_mul``) bring each factor over one
 common denominator and convolve the integer numerators in
 ``_convolve_integers``, the package's one integer multiply-add loop.  The
-Q series (``laurent``), which keep that layout between operations, the
-integer polynomials of the field and the expansion's windows run on it
-too.  ``_convolve_rows`` convolves sequences of integer polynomials, for
-the Q[T] series products and the Q(delta) series and expansion windows,
-which share one factored layout (``laurent``).
+product of the Q layout (``laurent``), which the Q series and the
+regularized expansion share, and the integer polynomials of the field run
+on it too.  ``_convolve_rows`` convolves sequences of integer polynomials,
+for the product of the row layout (``laurent``) that the Q(delta) and
+Q[T] series and the expansion share.
 
 ``zeta_nonpositive`` memoizes its values in a process-wide ``functools.cache``
 (``cache_info()`` gives size and hits), keyed by k: the series windows ask for
@@ -153,9 +153,9 @@ def _over_common_denominator(a) -> tuple:
 def _convolve_integers(a, b, n: int) -> list:
     """First n coefficients of the product of two integer lists.
 
-    The one integer multiply-add loop: ``poly_mul``, the Q series products
-    (``laurent``) and the integer windows of the regularized expansion
-    (``mzv``) all run on it.
+    The one integer multiply-add loop: ``poly_mul`` and the product of the
+    Q layout (``laurent``), which the Q series and the regularized
+    expansion (``mzv``) share, run on it.
     """
     acc = [0] * n
     for i, x in enumerate(a[:n]):

@@ -17,40 +17,39 @@ alpha(T) eps^k to (alpha'(T) + k alpha(T)) eps^(k-1).  On T-free series the
 derivation commutes with the projector; with T present it does not, and the
 test suite pins the standard witness instead of pretending otherwise.
 
-Over Q a series is stored in FLINT's ``fmpq_poly`` layout: a tuple of
-integer numerators over one positive integer denominator, normalized once
-per new series (leading zeros stripped as above, gcd(den, *nums) divided
-out).  That pair is canonical, so ``==`` and ``hash`` compare it exactly.
-Sums bring two windows to their least common denominator, products
-convolve the numerators on the integer loop of ``arith``, the projectors
-are slices, the derivative multiplies each numerator by its exponent, and
-``windows_agree`` cross-multiplies; none of them builds a ``Fraction``.
-``coeffs`` gives the Fractions, built on first read and kept; printing,
-JSON, ``terms`` and pickling go through it.  The regularized expansion
-hands its integer windows to the private ``_of_integers`` constructor.
+The three rings store their windows in two integer layouts, and each
+layout's sum, product and integer scale is written once, below; the
+regularized expansion (``mzv``) folds bare layouts with the same helpers.
 
-Over Q(delta) a series keeps the regularized expansion's factored integer
-layout (``mzv``): integer delta-polynomial rows over one positive integer
-and one polynomial denominator kept as {primitive p: exponent}, whose
-factors need not be coprime.  A new series strips leading zero rows and
-divides out the integer content; polynomials are never reduced.  Sums
-lift both windows to the larger exponent of each factor and combine the
-integers through one gcd, products convolve the rows on ``arith``'s
-``_convolve_rows`` and add the exponents, and the projectors, negation,
-the derivative and truncation work on the rows: no field operator and no
-polynomial gcd.  Reading a coefficient (``coeffs``, ``coefficient``,
-printing, JSON, ``==``, ``hash``, pickling) reduces it to the canonical
-c p/q of ``arith``, one gcd each, and ``coeffs`` keeps what it built; so
-``limit_at_zero`` raises PoleAtZero exactly where the field would.  The
-expansion hands its root over unreduced through ``_of_factored``.
+- Over Q a window is (nums, den): integer numerators over one positive
+  integer denominator, FLINT's ``fmpq_poly`` layout.  A sum brings two
+  windows to their least common denominator through one gcd; a product
+  convolves the numerators on the integer loop of ``arith``.
+- Over Q(delta) and Q[T] a window is (rows, den, factors): one integer
+  polynomial row per eps-coefficient over one positive integer and one
+  polynomial denominator kept as {primitive p: exponent}, whose factors
+  need not be coprime.  Q[T] rows are T-polynomials and have no factors.
+  A sum lifts both windows to the larger exponent of each factor and
+  combines the integers through one gcd; a product convolves the rows on
+  ``arith``'s ``_convolve_rows`` and adds the exponents.
 
-Every ring derives from ``_Ring``, which holds the shared hooks: coercion
-through the element class's ``_coerce``, the zero test and a zero
-coefficient derivative.  A ring declares its element class, name, zero,
-one and JSON form; Q keeps its own coercion and zero test.  Over Q[T]
-``convolve`` brings the T-coefficients of each factor over one common
-denominator, convolves the integer T-polynomial rows and builds one
-``Fraction`` per output T-coefficient.
+A new series strips leading zeros and divides out the integer content;
+polynomials are never reduced.  The Q pair is then canonical, so ``==``
+and ``hash`` compare it exactly; the row layouts compare coefficients.
+The projectors, negation, the derivative and truncation work on the
+layout, and ``windows_agree`` cross-multiplies over Q and subtracts over
+the rows: none of them builds a coefficient.  ``coeffs`` builds the
+coefficients on first read and keeps them; ``coefficient``, printing,
+JSON and pickling go through it.  A Q(delta) coefficient is reduced to
+the canonical c p/q of ``arith`` when read, one gcd each, so
+``limit_at_zero`` raises PoleAtZero exactly where the field would.
+
+Every ring derives from ``_Ring``: coercion through the element class's
+``_coerce``, the zero test, and the helpers of its layout.  A ring keeps
+only what differs: its name, zero, one and JSON form, building its layout
+from values (``_layout``), reading it (``_read``) and the row derivative
+(``_derivative``), to which Q[T] adds each coefficient's T-derivative.
+Q keeps its own coercion, zero test and layout helpers.
 """
 
 from __future__ import annotations
@@ -109,17 +108,122 @@ class InsufficientPrecision(PrecisionError):
 
 
 # ---------------------------------------------------------------------------
-# Coefficient rings.  A ring object bundles the element domain with the few
-# hooks the series needs; elements themselves stay plain values.  The product
-# hook ``convolve(a, b, n)`` of Q[T] returns the first n coefficients of the
-# product of two coefficient tuples.
+# The Q layout: (nums, den) is nums[i] / den, den > 0.  The sum and the
+# integer scale take windows on one exponent range; the product keeps the
+# first n coefficients.
+
+def _q_sum(a, b) -> tuple:
+    """a + b over the least common denominator, through one gcd."""
+    nums_a, den_a = a
+    nums_b, den_b = b
+    g = math.gcd(den_a, den_b)
+    ka, kb = den_b // g, den_a // g
+    return [x * ka + y * kb for x, y in zip(nums_a, nums_b)], den_a * ka
+
+
+def _q_product(a, b, n: int) -> tuple:
+    return _convolve_integers(a[0], b[0], n), a[1] * b[1]
+
+
+def _q_scale(a, k: int) -> tuple:
+    return [k * x for x in a[0]], a[1]
+
+
+def _q_normal(nums, den) -> tuple:
+    """The canonical pair: gcd(den, *nums) divided out."""
+    g = math.gcd(den, *nums)
+    if g != 1:
+        return tuple(x // g for x in nums), den // g
+    return tuple(nums), den
+
+
+# ---------------------------------------------------------------------------
+# The row layout: (rows, den, factors) is rows[i] / (den * prod_p
+# p^factors[p]), each row an integer polynomial with no trailing zero ([] or
+# () for zero) and each p primitive with a positive leading coefficient.
+
+@lru_cache(maxsize=1024)
+def _power(p, k) -> tuple:
+    """p^k for a primitive integer polynomial p."""
+    return (1,) if k == 0 else tuple(_poly_times(_power(p, k - 1), p))
+
+
+def _lifted(rows, factors, target) -> list:
+    """rows over prod_p p^factors[p] brought over prod_p p^target[p],
+    target covering factors."""
+    lift = [1]
+    for p, k in target.items():
+        extra = k - factors.get(p, 0)
+        if extra:
+            lift = _poly_times(lift, _power(p, extra))
+    if len(lift) == 1:
+        return rows
+    return [_poly_times(r, lift) for r in rows]
+
+
+def _factored_sum(a, b) -> tuple:
+    """a + b: both lifted to the larger exponent of each factor, the
+    integer denominators combined through one gcd."""
+    rows_a, den_a, fac_a = a
+    rows_b, den_b, fac_b = b
+    factors = dict(fac_a)
+    for p, k in fac_b.items():
+        if k > factors.get(p, 0):
+            factors[p] = k
+    g = math.gcd(den_a, den_b)
+    ka, kb = den_b // g, den_a // g
+    return ([_row_sum(x, ka, y, kb) for x, y in zip(
+        _lifted(rows_a, fac_a, factors), _lifted(rows_b, fac_b, factors))],
+        den_a * ka, factors)
+
+
+def _factored_product(a, b, n: int) -> tuple:
+    """The rows convolved, the denominators multiplied, the exponents
+    added."""
+    rows_a, den_a, fac_a = a
+    rows_b, den_b, fac_b = b
+    factors = dict(fac_a)
+    for p, k in fac_b.items():
+        factors[p] = factors.get(p, 0) + k
+    return _convolve_rows(rows_a, rows_b, n), den_a * den_b, factors
+
+
+def _factored_scale(a, k: int) -> tuple:
+    rows, den, factors = a
+    return [[k * v for v in r] for r in rows], den, factors
+
+
+def _factored_normal(rows, den, factors) -> tuple:
+    """The integer content common to den and the rows divided out; the
+    zero window over 1 with no factor."""
+    if not rows[0]:
+        return tuple(rows), 1, {}
+    if den != 1:
+        g = math.gcd(den, *chain.from_iterable(rows))
+        if g != 1:
+            rows, den = [[x // g for x in r] for r in rows], den // g
+    return tuple(rows), den, factors
+
+
+# ---------------------------------------------------------------------------
+# Coefficient rings.  A ring object bundles the element domain with its
+# layout's helpers and the few hooks that differ; elements themselves stay
+# plain values.
 
 class _Ring:
     """Hooks shared by the rings; see the module docstring.
 
     Each ring is one module singleton, named by ``_singleton``: series check
     their partner's ring by identity, so copies and pickles return it.
+    The layout helpers are the row layout's, which Q replaces with its
+    pair's; ``_blank`` is a zero entry of a layout's row.
     """
+
+    _blank = ()
+    _sum = staticmethod(_factored_sum)
+    _product = staticmethod(_factored_product)
+    _scale = staticmethod(_factored_scale)
+    _normal = staticmethod(_factored_normal)
 
     def __reduce__(self):
         return self._singleton
@@ -133,15 +237,17 @@ class _Ring:
     def is_zero(self, c) -> bool:
         return c.is_zero()
 
-    def coefficient_derivative(self, c):
-        return self.zero
-
 
 class RationalField(_Ring):
     _singleton = "RATIONAL_FIELD"
     name = "Q"
     zero = Fraction(0)
     one = Fraction(1)
+    _blank = 0
+    _sum = staticmethod(_q_sum)
+    _product = staticmethod(_q_product)
+    _scale = staticmethod(_q_scale)
+    _normal = staticmethod(_q_normal)
 
     def coerce(self, value):
         # the public constructor runs it on every coefficient: Fraction first
@@ -157,6 +263,18 @@ class RationalField(_Ring):
     def coefficient_to_json(self, c):
         return str(c)
 
+    def _layout(self, values) -> tuple:
+        den, nums = _over_common_denominator(values)
+        return nums, den
+
+    def _read(self, layout) -> tuple:
+        nums, den = layout
+        return tuple(Fraction(x, den) for x in nums)
+
+    def _derivative(self, min_order: int, layout) -> tuple:
+        nums, den = layout
+        return [k * x for k, x in enumerate(nums, min_order)], den
+
 
 class DeltaFunctionField(_Ring):
     element = DeltaRationalFunction
@@ -167,6 +285,33 @@ class DeltaFunctionField(_Ring):
 
     def coefficient_to_json(self, c):
         return c.to_json()
+
+    def _layout(self, values) -> tuple:
+        """Canonical values c p/q: den the lcm of the denominators of the
+        c, one factor per distinct nonconstant q."""
+        den = math.lcm(*(v._c.denominator for v in values))
+        factors = {v._q: 1 for v in values if len(v._q) > 1}
+        rows = []
+        for v in values:
+            n, d = v._c.as_integer_ratio()
+            row = [n * (den // d) * x for x in v._p]
+            own = {v._q: 1} if len(v._q) > 1 else {}
+            rows.append(_lifted([row], own, factors)[0])
+        return rows, den, factors
+
+    def _read(self, layout) -> tuple:
+        rows, den, factors = layout
+        # prod_p p^k is primitive by Gauss's lemma
+        q = (1,)
+        for p, k in factors.items():
+            q = tuple(_poly_times(q, _power(p, k)))
+        return tuple(DeltaRationalFunction._of_integers(r, den, q)
+                     for r in rows)
+
+    def _derivative(self, min_order: int, layout) -> tuple:
+        rows, den, factors = layout
+        return ([[k * v for v in r] if k else []
+                 for k, r in enumerate(rows, min_order)], den, factors)
 
 
 class TPolynomial:
@@ -254,30 +399,25 @@ class TPolynomialRing(_Ring):
     zero = TPolynomial(())
     one = TPolynomial((Fraction(1),))
 
-    def convolve(self, a, b, n):
-        """First n coefficients of the product: the T-coefficients of each
-        factor over one common denominator, the integer T-polynomial rows
-        convolved, one Fraction per output T-coefficient."""
-        da, ra = _integer_rows(a[:n])
-        db, rb = _integer_rows(b[:n])
-        d = da * db
-        return [TPolynomial(tuple(Fraction(v, d) for v in row))
-                for row in _convolve_rows(ra, rb, n)]
-
-    def coefficient_derivative(self, c):
-        # d/d(eps) acts on T as 1/eps; the caller shifts the exponent down
-        return c.derivative()
-
     def coefficient_to_json(self, c):
         return [str(x) for x in c.coeffs]
 
+    def _layout(self, values) -> tuple:
+        """The T-coefficients over their least common denominator."""
+        den = math.lcm(*(c.denominator for p in values for c in p.coeffs))
+        return [[c.numerator * (den // c.denominator) for c in p.coeffs]
+                for p in values], den, {}
 
-def _integer_rows(polys) -> tuple:
-    """(den, rows): the T-polynomials polys as integer rows over one common
-    denominator."""
-    den = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
-    return den, [[c.numerator * (den // c.denominator) for c in p.coeffs]
-                 for p in polys]
+    def _read(self, layout) -> tuple:
+        rows, den, _ = layout
+        return tuple(TPolynomial(tuple(Fraction(v, den) for v in r))
+                     for r in rows)
+
+    def _derivative(self, min_order: int, layout) -> tuple:
+        # d/d(eps) acts on T as 1/eps: k c + dc/dT at eps^(k-1)
+        rows, den, factors = layout
+        return ([_row_sum(r, k, [i * v for i, v in enumerate(r)][1:], 1)
+                 for k, r in enumerate(rows, min_order)], den, factors)
 
 
 RATIONAL_FIELD = RationalField()
@@ -287,82 +427,17 @@ T = TPolynomial((Fraction(0), Fraction(1)))
 
 
 # ---------------------------------------------------------------------------
-# The factored Q(delta) layout, shared with the expansion's windows
-# (``mzv``): (rows, den, factors) is rows[i] / (den * prod_p
-# p^factors[p]), each row an integer delta-polynomial with no trailing zero
-# ([] for zero) and each p primitive with a positive leading coefficient.
-
-@lru_cache(maxsize=1024)
-def _power(p, k) -> tuple:
-    """p^k for a primitive integer polynomial p."""
-    return (1,) if k == 0 else tuple(_poly_times(_power(p, k - 1), p))
-
-
-def _lifted(rows, factors, target) -> list:
-    """rows over prod_p p^factors[p] brought over prod_p p^target[p],
-    target covering factors."""
-    lift = [1]
-    for p, k in target.items():
-        extra = k - factors.get(p, 0)
-        if extra:
-            lift = _poly_times(lift, _power(p, extra))
-    if len(lift) == 1:
-        return rows
-    return [_poly_times(r, lift) for r in rows]
-
-
-def _factored_sum(a, b) -> tuple:
-    """a + b for two factored windows on one exponent range: both lifted
-    to the larger exponent of each factor, the integer denominators
-    combined through one gcd."""
-    rows_a, den_a, fac_a = a
-    rows_b, den_b, fac_b = b
-    factors = dict(fac_a)
-    for p, k in fac_b.items():
-        if k > factors.get(p, 0):
-            factors[p] = k
-    g = math.gcd(den_a, den_b)
-    ka, kb = den_b // g, den_a // g
-    return ([_row_sum(x, ka, y, kb) for x, y in zip(
-        _lifted(rows_a, fac_a, factors), _lifted(rows_b, fac_b, factors))],
-        den_a * ka, factors)
-
-
-def _factored_product(a, b, n: int) -> tuple:
-    """First n coefficients of a * b for two factored windows: the rows
-    convolved, the denominators multiplied, the exponents added."""
-    rows_a, den_a, fac_a = a
-    rows_b, den_b, fac_b = b
-    factors = dict(fac_a)
-    for p, k in fac_b.items():
-        factors[p] = factors.get(p, 0) + k
-    return _convolve_rows(rows_a, rows_b, n), den_a * den_b, factors
-
-
-def _factored_values(values) -> tuple:
-    """The factored layout of canonical Q(delta) values c p/q: den the lcm
-    of the denominators of the c, one factor per distinct nonconstant q."""
-    den = math.lcm(*(v._c.denominator for v in values))
-    factors = {v._q: 1 for v in values if len(v._q) > 1}
-    rows = []
-    for v in values:
-        n, d = v._c.as_integer_ratio()
-        row = [n * (den // d) * x for x in v._p]
-        own = {v._q: 1} if len(v._q) > 1 else {}
-        rows.append(_lifted([row], own, factors)[0])
-    return rows, den, factors
-
-
-# ---------------------------------------------------------------------------
 # The series itself.
 
-def _aligned(s, lo: int, prec: int, zero) -> list:
-    """The stored row of s on the exponents [lo, prec), lo <= s.min_order
-    and prec <= s.precision, zero-filled below s.min_order."""
+def _aligned(s, lo: int, prec: int) -> tuple:
+    """The layout of s on the exponents [lo, prec), lo <= s.min_order and
+    prec <= s.precision, zero-filled below s.min_order."""
+    row, *rest = s._layout
+    blank = s.ring._blank
     k = prec - s.min_order
     if k <= 0:
-        return [zero] * (prec - lo)
-    return [zero] * (s.min_order - lo) + list(s._row[:k])
+        return ([blank] * (prec - lo), *rest)
+    return ([blank] * (s.min_order - lo) + list(row[:k]), *rest)
 
 
 class TruncatedLaurentSeries:
@@ -372,88 +447,50 @@ class TruncatedLaurentSeries:
     coefficient is nonzero unless the window holds nothing but zeros, in
     which case exactly one zero is stored and min_order = precision - 1.
 
-    ``_row`` is the stored window.  Over Q it holds integer numerators over
-    the positive integer ``_den``, with gcd(_den, *_row) = 1; over Q(delta)
-    the rows of the factored layout over ``_den`` and ``_factors``.  Over
-    both ``_coeffs`` caches the coefficients once read.  Over Q[T] ``_row``
-    holds the coefficients, ``_den`` and ``_factors`` are None and
-    ``_coeffs`` is ``_row``.
+    ``_layout`` is the stored window in its ring's integer layout (module
+    docstring), content-free; ``_coeffs`` caches the coefficients once
+    read.
     """
 
-    __slots__ = ("ring", "min_order", "_row", "_den", "_factors", "_coeffs")
+    __slots__ = ("ring", "min_order", "_layout", "_coeffs")
 
     def __init__(self, ring, min_order: int, coeffs):
         # coerce: the public constructor also takes ints
-        cs = [ring.coerce(c) for c in coeffs]
+        cs = tuple(ring.coerce(c) for c in coeffs)
         if not cs:
             raise ValueError("series window must contain at least one slot")
-        # a window of nothing but zeros keeps its last slot, as ring.zero
-        first, last = 0, len(cs) - 1
-        while first < last and ring.is_zero(cs[first]):
-            first += 1
-        if first == last and ring.is_zero(cs[last]):
-            cs[last] = ring.zero
-        cs = tuple(cs[first:])
-        row, den, factors = cs, None, None
-        if ring is RATIONAL_FIELD:
-            den, row = _over_common_denominator(cs)
-            row = tuple(row)
-        elif ring is DELTA_FIELD:
-            row, den, factors = _factored_values(cs)
-            row = tuple(row)
-        self._fill(ring, min_order + first, row, den, factors, cs)
+        self._fill(ring, min_order, ring._layout(cs), cs)
 
-    def _fill(self, *values):
-        """Set the slots, in their order, on a new series."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+    def _fill(self, ring, min_order: int, layout, coeffs):
+        """Set the slots of a new series from its window in ring's layout,
+        starting at eps^min_order, and its values or None: leading zeros
+        are stripped and the integer content divided out; polynomial
+        factors stay as they are."""
+        row = layout[0]
+        first, last = 0, len(row) - 1
+        while first < last and not row[first]:
+            first += 1
+        if first:
+            row = row[first:]
+            if coeffs is not None:
+                coeffs = coeffs[first:]
+        put = object.__setattr__
+        put(self, "ring", ring)
+        put(self, "min_order", min_order + first)
+        put(self, "_layout", ring._normal(row, *layout[1:]))
+        put(self, "_coeffs", coeffs)
         return self
 
     @classmethod
-    def _of_integers(cls, min_order: int, nums, den: int):
-        """The Q series nums[i] / den at eps^(min_order + i), den > 0:
-        leading zeros are stripped and gcd(den, *nums) divided out."""
-        first, last = 0, len(nums) - 1
-        while first < last and not nums[first]:
-            first += 1
-        g = math.gcd(den, *nums)
-        if g != 1:
-            nums, den = [x // g for x in nums[first:]], den // g
-        elif first:
-            nums = nums[first:]
-        return object.__new__(cls)._fill(
-            RATIONAL_FIELD, min_order + first, tuple(nums), den, None, None)
-
-    @classmethod
-    def _of_factored(cls, min_order: int, rows, den: int, factors):
-        """The Q(delta) series of the factored window (rows, den, factors)
-        at eps^min_order on: leading zero rows are stripped and the integer
-        content common to den and the rows divided out; the polynomial
-        factors stay as they are."""
-        first, last = 0, len(rows) - 1
-        while first < last and not rows[first]:
-            first += 1
-        rows = rows[first:]
-        if not rows[0]:
-            # the zero window
-            den, factors = 1, {}
-        elif den != 1:
-            g = math.gcd(den, *chain.from_iterable(rows))
-            if g != 1:
-                rows, den = [[x // g for x in r] for r in rows], den // g
-        return object.__new__(cls)._fill(
-            DELTA_FIELD, min_order + first, tuple(rows), den, factors, None)
+    def _of_layout(cls, ring, min_order: int, layout):
+        """The series of ring whose window in ring's layout starts at
+        eps^min_order (_fill)."""
+        return object.__new__(cls)._fill(ring, min_order, layout, None)
 
     def _with_row(self, min_order: int, row):
-        """A series of self's ring from a row in self's layout, over
-        self's denominators on Q and Q(delta)."""
-        if self._den is None:
-            return TruncatedLaurentSeries(self.ring, min_order, row)
-        if self._factors is None:
-            return TruncatedLaurentSeries._of_integers(
-                min_order, row, self._den)
-        return TruncatedLaurentSeries._of_factored(
-            min_order, row, self._den, self._factors)
+        """A series of self's ring from a row over self's denominators."""
+        return self._of_layout(self.ring, min_order,
+                               (row, *self._layout[1:]))
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedLaurentSeries is immutable")
@@ -463,32 +500,21 @@ class TruncatedLaurentSeries:
 
     @property
     def coeffs(self) -> tuple:
-        """The stored coefficients, over Q and Q(delta) built on first
-        read; a Q(delta) coefficient is reduced to its canonical form."""
+        """The stored coefficients, built on first read; a Q(delta)
+        coefficient is reduced to its canonical form."""
         cs = self._coeffs
         if cs is None:
-            d = self._den
-            if self._factors is None:
-                cs = tuple(Fraction(x, d) for x in self._row)
-            else:
-                # prod_p p^k is primitive by Gauss's lemma
-                q = (1,)
-                for p, k in self._factors.items():
-                    q = tuple(_poly_times(q, _power(p, k)))
-                cs = tuple(DeltaRationalFunction._of_integers(r, d, q)
-                           for r in self._row)
+            cs = self.ring._read(self._layout)
             object.__setattr__(self, "_coeffs", cs)
         return cs
 
     @property
     def precision(self) -> int:
-        return self.min_order + len(self._row)
+        return self.min_order + len(self._layout[0])
 
     def is_zero_window(self) -> bool:
         # the leading stored coefficient is zero only in the zero window
-        if self._den is not None:
-            return not self._row[0]
-        return self.ring.is_zero(self._row[0])
+        return not self._layout[0][0]
 
     def coefficient(self, exponent: int):
         """Exact coefficient of eps^exponent; errors above the window."""
@@ -498,10 +524,7 @@ class TruncatedLaurentSeries:
                 f"> {exponent}, have {self.precision}")
         if exponent < self.min_order:
             return self.ring.zero
-        i = exponent - self.min_order
-        if self._coeffs is None and self._factors is None:
-            return Fraction(self._row[i], self._den)
-        return self.coeffs[i]
+        return self.coeffs[exponent - self.min_order]
 
     # -- ring operations ----------------------------------------------------
 
@@ -518,20 +541,8 @@ class TruncatedLaurentSeries:
         # nothing
         prec = min(self.precision, other.precision)
         lo = min(self.min_order, other.min_order)
-        if self._den is None:
-            out = [self.coefficient(k) + other.coefficient(k)
-                   for k in range(lo, prec)]
-            return TruncatedLaurentSeries(self.ring, lo, out)
-        if self._factors is not None:
-            return TruncatedLaurentSeries._of_factored(lo, *_factored_sum(
-                (_aligned(self, lo, prec, ()), self._den, self._factors),
-                (_aligned(other, lo, prec, ()), other._den, other._factors)))
-        g = math.gcd(self._den, other._den)
-        fa, fb = other._den // g, self._den // g
-        return TruncatedLaurentSeries._of_integers(
-            lo, [x * fa + y * fb for x, y in zip(
-                _aligned(self, lo, prec, 0), _aligned(other, lo, prec, 0))],
-            self._den * fa)
+        return self._of_layout(self.ring, lo, self.ring._sum(
+            _aligned(self, lo, prec), _aligned(other, lo, prec)))
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedLaurentSeries):
@@ -539,10 +550,8 @@ class TruncatedLaurentSeries:
         return self + (-other)
 
     def __neg__(self):
-        if self._factors is not None:
-            return self._with_row(self.min_order,
-                                  [[-v for v in r] for r in self._row])
-        return self._with_row(self.min_order, [-c for c in self._row])
+        return self._of_layout(self.ring, self.min_order,
+                               self.ring._scale(self._layout, -1))
 
     def __mul__(self, other):
         if isinstance(other, TruncatedLaurentSeries):
@@ -550,40 +559,23 @@ class TruncatedLaurentSeries:
             # the product is known below min(self.precision + other.min_order,
             # other.precision + self.min_order), that is for the shorter
             # window's length past its lowest exponent
-            n = min(len(self._row), len(other._row))
-            lo = self.min_order + other.min_order
-            if self._den is None:
-                return TruncatedLaurentSeries(
-                    self.ring, lo, self.ring.convolve(self._row, other._row, n))
-            if self._factors is not None:
-                return TruncatedLaurentSeries._of_factored(
-                    lo, *_factored_product(
-                        (self._row, self._den, self._factors),
-                        (other._row, other._den, other._factors), n))
-            return TruncatedLaurentSeries._of_integers(
-                lo, _convolve_integers(self._row, other._row, n),
-                self._den * other._den)
+            n = min(len(self._layout[0]), len(other._layout[0]))
+            return self._of_layout(
+                self.ring, self.min_order + other.min_order,
+                self.ring._product(self._layout, other._layout, n))
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, value):
-        c = self.ring.coerce(value)
-        if self.ring.is_zero(c):
-            return zero_series(self.ring, self.precision)
-        if self._den is None:
-            return self._with_row(self.min_order, [c * x for x in self._row])
-        if self._factors is None:
-            k = c.numerator
-            return TruncatedLaurentSeries._of_integers(
-                self.min_order, [k * x for x in self._row],
-                self._den * c.denominator)
+        ring = self.ring
+        c = ring.coerce(value)
+        if ring.is_zero(c):
+            return zero_series(ring, self.precision)
         # the product with the one-slot window of c
-        return TruncatedLaurentSeries._of_factored(
-            self.min_order, *_factored_product(
-                (self._row, self._den, self._factors),
-                _factored_values((c,)), len(self._row)))
+        return self._of_layout(ring, self.min_order, ring._product(
+            self._layout, ring._layout((c,)), len(self._layout[0])))
 
     # -- the projector pair -------------------------------------------------
 
@@ -591,17 +583,14 @@ class TruncatedLaurentSeries:
         if self.precision < 0:
             raise IncompletePolePart(
                 f"{what} needs precision >= 0, have {self.precision}")
-        row = self._row
+        row = self._layout[0]
         # the first k stored coefficients sit at negative exponents
         k = min(len(row), max(0, -self.min_order))
-        if self._den is None:
-            zero = self.ring.zero
-        else:
-            zero = 0 if self._factors is None else ()
+        blank = self.ring._blank
         if poles:
-            row = row[:k] + (zero,) * (len(row) - k)
+            row = row[:k] + (blank,) * (len(row) - k)
         else:
-            row = (zero,) * k + row[k:]
+            row = (blank,) * k + row[k:]
         return self._with_row(self.min_order, row)
 
     def pole_part(self) -> "TruncatedLaurentSeries":
@@ -631,17 +620,9 @@ class TruncatedLaurentSeries:
         the T ring each coefficient also contributes its own T-derivative
         at the lowered exponent, since T differentiates to 1/eps.
         """
-        ring, mo = self.ring, self.min_order
-        if self._factors is not None:
-            return self._with_row(
-                mo - 1, [[k * v for v in r] if k else []
-                         for k, r in enumerate(self._row, mo)])
-        if self._den is not None:
-            return self._with_row(
-                mo - 1, [k * x for k, x in enumerate(self._row, mo)])
-        return TruncatedLaurentSeries(
-            ring, mo - 1,
-            [k * c + ring.coefficient_derivative(c) for k, c in self.terms()])
+        return self._of_layout(self.ring, self.min_order - 1,
+                               self.ring._derivative(self.min_order,
+                                                     self._layout))
 
     # -- window management --------------------------------------------------
 
@@ -654,7 +635,7 @@ class TruncatedLaurentSeries:
         if new_precision <= self.min_order:
             return zero_series(self.ring, new_precision)
         return self._with_row(
-            self.min_order, self._row[: new_precision - self.min_order])
+            self.min_order, self._layout[0][: new_precision - self.min_order])
 
     def terms(self):
         """Iterate (exponent, coefficient) over the stored window."""
@@ -668,10 +649,10 @@ class TruncatedLaurentSeries:
         return sum(float(c) * x ** k for k, c in self.terms())
 
     def _key(self) -> tuple:
-        # the Q and Q[T] layouts are canonical; a Q(delta) window is not,
-        # and compares its canonical coefficients
-        if self._factors is None:
-            return self.min_order, self._den, self._row
+        # the Q layout is canonical; the row layouts compare their
+        # coefficients
+        if self.ring is RATIONAL_FIELD:
+            return self.min_order, self._layout
         return self.min_order, self.coeffs
 
     def __eq__(self, other):
@@ -749,14 +730,11 @@ def windows_agree(a: TruncatedLaurentSeries,
     """Equality of the two exact values on the window both sides know."""
     if a.ring is not b.ring:
         return False
-    prec = min(a.precision, b.precision)
-    lo = min(a.min_order, b.min_order)
-    if a._den is None:
-        return all(a.coefficient(k) == b.coefficient(k)
-                   for k in range(lo, prec))
-    if a._factors is not None:
+    if a.ring is not RATIONAL_FIELD:
         # a - b is known on [lo, prec), in the layout
         return (a - b).is_zero_window()
-    # x / a._den == y / b._den, cross-multiplied
-    return [x * b._den for x in _aligned(a, lo, prec, 0)] == \
-        [y * a._den for y in _aligned(b, lo, prec, 0)]
+    # x / den_a == y / den_b, cross-multiplied
+    prec = min(a.precision, b.precision)
+    lo = min(a.min_order, b.min_order)
+    (xs, den_a), (ys, den_b) = _aligned(a, lo, prec), _aligned(b, lo, prec)
+    return [x * den_b for x in xs] == [y * den_a for y in ys]

@@ -35,36 +35,27 @@ with R(l, e) = e + 1 + sum_{i>l} (m_i + 1); so F(l, e) is exact on
 lands on [-M, precision).  The recursion needs only window products, sums
 and integer scaling.
 
-Over Q the recursion runs on integer windows: numerators over one shared
-denominator, the layout of FLINT's ``fmpq_poly``.  A product convolves the
-numerators on the integer loop of ``arith`` and multiplies denominators, a
-sum brings two windows to their least common denominator through one gcd,
-a binomial coefficient scales the numerators only, and the root hands its
-numerators and denominator to the Q series, which keeps the same layout
-and divides out their common content once; no ``Fraction`` is built.
-
-Over Q(delta) the recursion runs on integer windows too.
-``hopf._check_direction`` admits only delta-polynomial directions, so every
-cumulative direction rho_l is a polynomial, summed from the letters as a
-rational content and a primitive part: the pole coefficient of
-W(a, rho_l) is a constant over rho_l^(a+1) and its Taylor coefficients are
-polynomials.  Products and sums of such windows only multiply these
-denominators together, so every denominator of every F(l, e) is an
-integer times a product of powers of the rho_l.  A window therefore holds
-one integer delta-polynomial numerator per eps-coefficient over one shared
-integer denominator and one shared polynomial denominator, kept factored
-as {primitive rho_l: exponent}; rho_l that agree up to a constant (1 + d
-and 2 + 2d) share a factor.  That is the layout of the Q(delta) series,
-and the windows combine through its helpers (``laurent``): a product
-convolves the rows and adds the exponents, a sum lifts both windows to
-the larger exponent of each factor and combines the integer denominators
-through one gcd, as over Q.  Nothing is reduced on the way, and the root
-is handed to the series unreduced: a coefficient is reduced to the
-canonical c p/q only when it is read.  That form is what
-``limit_at_zero`` reads, so a q that still vanishes at delta = 0 is a
-genuine pole and raises PoleAtZero exactly where the field would, never a
-removable 0/0 left over from factors kept apart (d and d + d^2 share d and
-are two factors).
+The recursion folds bare integer layouts, the layouts of the series
+(``laurent``), with the series' own sum, product and integer scale, chosen
+once per expansion from the ring.  Over Q a window is (nums, den), integer
+numerators over one denominator.  Over Q(delta) it is (rows, den,
+factors): ``hopf._check_direction`` admits only delta-polynomial
+directions, so every cumulative direction rho_l is a polynomial, summed
+from the letters as a rational content and a primitive part; the pole
+coefficient of W(a, rho_l) is a constant over rho_l^(a+1) and its Taylor
+coefficients are polynomials.  Products and sums only multiply these
+denominators together, so every coefficient of every F(l, e) is an integer
+delta-polynomial over one shared integer and one shared polynomial
+denominator, kept factored as {primitive rho_l: exponent}; rho_l that
+agree up to a constant (1 + d and 2 + 2d) share a factor.  A window keeps
+no min_order, since F(l, e) starts at -R(l, e), and the root becomes the
+one series of the expansion, at eps^-M.  Nothing is reduced on the way:
+the series divides out the root's integer content, and a Q(delta)
+coefficient is reduced to the canonical c p/q only when it is read.  That
+form is what ``limit_at_zero`` reads, so a q that still vanishes at
+delta = 0 is a genuine pole and raises PoleAtZero exactly where the field
+would, never a removable 0/0 left over from factors kept apart (d and
+d + d^2 share d and are two factors).
 
 One place builds every one-variable window, for the expansion and
 one_var_series alike, straight into this integer layout.  With rho = c p,
@@ -124,7 +115,6 @@ from itertools import accumulate
 
 from renzeta.arith import (
     DeltaRationalFunction,
-    _convolve_integers,
     _over_common_denominator,
     _primitive,
     _row_sum,
@@ -141,8 +131,6 @@ from renzeta.laurent import (
     DELTA_FIELD,
     RATIONAL_FIELD,
     TruncatedLaurentSeries,
-    _factored_product,
-    _factored_sum,
     _power,
 )
 
@@ -181,8 +169,10 @@ def argument_word(exponents, directions) -> Word:
     return Word(Letter(x, rx) for x, rx in zip(s, r))
 
 
-def _ring_for(directions):
-    if any(isinstance(r, DeltaRationalFunction) for r in directions):
+def _ring_for(word):
+    """Q(delta) if a letter of the validated word has a delta-direction,
+    else Q."""
+    if any(isinstance(l.r, DeltaRationalFunction) for l in word):
         return DELTA_FIELD
     return RATIONAL_FIELD
 
@@ -242,7 +232,7 @@ def _cumulative(exponents, directions):
     """The ring of a validated argument, its m_i = -s_i and its cumulative
     directions (_slots)."""
     word = argument_word(exponents, directions)
-    ring = _ring_for(tuple(l.r for l in word))
+    ring = _ring_for(word)
     return (ring,) + _slots(word, ring)
 
 
@@ -285,81 +275,11 @@ def one_var_series(power: int, direction,
     if precision < 1:
         raise ValueError("window must reach past eps^0")
     rho = _check_direction(direction)
+    ring = RATIONAL_FIELD
     if isinstance(rho, DeltaRationalFunction):
-        rho = rho._c, rho._p
-    return _one_var_integers(power, rho, precision).series()
-
-
-class _QWindow:
-    """A Q window as integer numerators over one shared denominator:
-    nums[i] / den at eps^(min_order + i), exact on the whole stored range.
-
-    _one_var_integers builds these, and the regularized expansion adds
-    windows on equal exponent ranges only (module docstring).
-    """
-
-    __slots__ = ("min_order", "nums", "den")
-
-    def __init__(self, min_order, nums, den):
-        self.min_order = min_order
-        self.nums = nums
-        self.den = den
-
-    def __mul__(self, other):
-        n = min(len(self.nums), len(other.nums))
-        return _QWindow(self.min_order + other.min_order,
-                        _convolve_integers(self.nums, other.nums, n),
-                        self.den * other.den)
-
-    def __add__(self, other):
-        g = math.gcd(self.den, other.den)
-        fa, fb = other.den // g, self.den // g
-        return _QWindow(self.min_order,
-                        [x * fa + y * fb
-                         for x, y in zip(self.nums, other.nums)],
-                        self.den * fa)
-
-    def scale(self, c: int):
-        return _QWindow(self.min_order, [c * x for x in self.nums], self.den)
-
-    def series(self) -> TruncatedLaurentSeries:
-        return TruncatedLaurentSeries._of_integers(
-            self.min_order, self.nums, self.den)
-
-
-class _DeltaWindow:
-    """A Q(delta) window in the factored layout of the Q(delta) series
-    (``laurent``): layout = (rows, den, factors) stands for
-    rows[i] / (den * prod_p p^factors[p]) at eps^(min_order + i).
-
-    The sibling of _QWindow, with its interface and its range discipline;
-    its sum and product are the series' own helpers.
-    """
-
-    __slots__ = ("min_order", "layout")
-
-    def __init__(self, min_order, layout):
-        self.min_order = min_order
-        self.layout = layout
-
-    def __mul__(self, other):
-        n = min(len(self.layout[0]), len(other.layout[0]))
-        return _DeltaWindow(self.min_order + other.min_order,
-                            _factored_product(self.layout, other.layout, n))
-
-    def __add__(self, other):
-        return _DeltaWindow(self.min_order,
-                            _factored_sum(self.layout, other.layout))
-
-    def scale(self, c: int):
-        rows, den, factors = self.layout
-        return _DeltaWindow(self.min_order,
-                            ([[c * v for v in r] for r in rows], den, factors))
-
-    def series(self) -> TruncatedLaurentSeries:
-        # handed over unreduced: a coefficient is reduced when it is read
-        return TruncatedLaurentSeries._of_factored(self.min_order,
-                                                   *self.layout)
+        ring, rho = DELTA_FIELD, (rho._c, rho._p)
+    return TruncatedLaurentSeries._of_layout(
+        ring, -(power + 1), _one_var_integers(power, rho, precision))
 
 
 # (b, c) -> (den, nums) of the longest W(b, c) asked for, the pole numerator
@@ -379,11 +299,11 @@ def _one_var_scalar(b, c, j) -> Fraction:
 
 
 def _one_var_integers(b, rho, precision):
-    """W(b, rho) on [-(b+1), precision) in the expansion's integer layout
-    (module docstring): the first precision + 1 numerators of the memo
-    entry of (b, c) over its den, the entry extended first if it is
-    shorter.  A _QWindow for a rational rho = c, else a _DeltaWindow over
-    the factor {p: b+1} for the pair rho = (c, p)."""
+    """The layout of W(b, rho) on [-(b+1), precision) (module docstring):
+    the first precision + 1 numerators of the memo entry of (b, c) over
+    its den, the entry extended first if it is shorter.  The Q pair for a
+    rational rho = c, else the row layout over the factor {p: b+1} for the
+    pair rho = (c, p)."""
     c, p = rho if isinstance(rho, tuple) else (rho, None)
     den, nums = _one_var_windows.get((b, c), (1, []))
     if len(nums) <= precision:
@@ -400,12 +320,11 @@ def _one_var_integers(b, rho, precision):
         _one_var_windows[b, c] = den, nums
     top, *nums = nums[:precision + 1]
     if p is None:
-        return _QWindow(-(b + 1), [top] + [0] * b + nums, den)
+        return [top] + [0] * b + nums, den
     rows = [[top]] + [[]] * b + [
         [n * x for x in _power(p, j + b + 1)] if n else []
         for j, n in enumerate(nums)]
-    return _DeltaWindow(-(b + 1), (rows, den,
-                                   {p: b + 1} if len(p) > 1 else {}))
+    return rows, den, {p: b + 1} if len(p) > 1 else {}
 
 
 def regularized_expansion(exponents, directions,
@@ -414,9 +333,8 @@ def regularized_expansion(exponents, directions,
 
     The binomial recursion F(l, e) from the last slot inward (module
     docstring): every factor window has length precision + M, so the root
-    F(1, m_1) lands exactly on [-M, precision).  The ring picks the window
-    type: integer numerators over Q, integer delta-polynomial numerators
-    over a factored denominator over Q(delta).
+    F(1, m_1) lands exactly on [-M, precision).  The recursion folds the
+    bare integer layouts of the argument's ring.
     """
     if precision < 1:
         raise ValueError("window must reach past eps^0")
@@ -426,7 +344,10 @@ def regularized_expansion(exponents, directions,
 
 def _expansion(ms, rho, precision: int) -> TruncatedLaurentSeries:
     """regularized_expansion of the slot powers ms and the cumulative
-    directions rho of a validated word (_slots), precision >= 1."""
+    directions rho of a validated word (_slots), precision >= 1.  Every
+    window has the one length precision + M, and so has every product."""
+    ring = DELTA_FIELD if isinstance(rho[0], tuple) else RATIONAL_FIELD
+    add, mul, scale = ring._sum, ring._product, ring._scale
     k = len(ms)
     length = precision + sum(ms) + k
     tops = tuple(accumulate(ms))
@@ -440,13 +361,15 @@ def _expansion(ms, rho, precision: int) -> TruncatedLaurentSeries:
         for e in range(ms[slot], tops[slot] + 1):
             acc = None
             for a in range(e + 1):
-                term = windows[a] * inner[e - a + ms[slot + 1]]
+                term = mul(windows[a], inner[e - a + ms[slot + 1]], length)
                 c = math.comb(e, a)
                 if c != 1:
-                    term = term.scale(c)
-                acc = term if acc is None else acc + term
+                    term = scale(term, c)
+                acc = term if acc is None else add(acc, term)
             level[e] = acc
-    return level[ms[0]].series()
+    # the root starts at eps^-M, M = length - precision
+    return TruncatedLaurentSeries._of_layout(ring, precision - length,
+                                             level[ms[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +406,8 @@ def _word_session(exponents, directions, taylor_order: int):
     """The validated word of one argument and a session in its ring, sized
     for its pole depth."""
     word = argument_word(exponents, directions)
-    ring = _ring_for(tuple(l.r for l in word))
     return word, decomposition_session(
-        taylor_order, word.pole_depth(), ring)
+        taylor_order, word.pole_depth(), _ring_for(word))
 
 
 def renormalized_series(exponents, directions,

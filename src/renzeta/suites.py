@@ -247,8 +247,8 @@ def _random_series(rng, ring=RATIONAL_FIELD):
     ps = rng.choices(range(-9, 10), k=n)
     qs = rng.choices(range(1, 10), k=n)
     den = math.lcm(*qs)
-    return TruncatedLaurentSeries._of_integers(
-        mo, [p * (den // q) for p, q in zip(ps, qs)], den)
+    return TruncatedLaurentSeries._of_layout(
+        ring, mo, ([p * (den // q) for p, q in zip(ps, qs)], den))
 
 
 def suite_rota_baxter(max_weight: int = 4, seed: int = 0) -> list:

@@ -247,7 +247,7 @@ class TestDeltaCoefficients:
             return TruncatedLaurentSeries(DELTA_FIELD, 0, [value])
 
         one = window(DELTA) * window(1 / DELTA)
-        assert one._row == ([0, 1],) and one._factors == {(0, 1): 1}
+        assert one._layout == (([0, 1],), 1, {(0, 1): 1})
         assert one.constant_term() == 1
         assert one.constant_term().limit_at_zero() == 1
         with pytest.raises(PoleAtZero):
@@ -713,6 +713,86 @@ t_window = st.builds(
     lambda lo, vals: TruncatedLaurentSeries(T_POLY_RING, lo, vals),
     st.integers(min_value=-3, max_value=2),
     st.lists(t_coefficient, min_size=1, max_size=6))
+
+# leading zeros, all-zero windows, negative min_order and precision <= 0;
+# (series, TPolynomial window) pairs built by the public constructor and by
+# series arithmetic
+raw_t_window = st.tuples(
+    st.integers(min_value=-5, max_value=2),
+    st.builds(lambda zeros, vals: [T_POLY_RING.zero] * zeros + vals,
+              st.integers(min_value=0, max_value=2),
+              st.lists(t_coefficient, min_size=1, max_size=5)))
+t_constructed = raw_t_window.map(
+    lambda r: (TruncatedLaurentSeries(T_POLY_RING, *r), field_window(*r)))
+t_pair = st.one_of(
+    t_constructed,
+    st.builds(combined, t_constructed, t_constructed,
+              st.sampled_from(("*", "+", "scale"))))
+
+
+def t_derivative(a):
+    """d/d(eps) of a Q[T] window: k c + dc/dT at eps^(k-1), since
+    T' = 1/eps."""
+    return field_window(a[0] - 1, [k * x + x.derivative()
+                                   for k, x in enumerate(a[1], a[0])])
+
+
+class TestRowLayoutAgainstTPolynomials:
+    @given(t_pair, t_pair)
+    @settings(max_examples=100, deadline=None)
+    def test_ring_operations(self, pa, pb):
+        (a, wa), (b, wb) = pa, pb
+        lo = min(wa[0], wb[0])
+        prec = min(field_precision(wa), field_precision(wb))
+        got = [a + b, -b, a - b, a * b, a - a]
+        agree = windows_agree(a, b)
+        neg_b = field_scale(wb, -1)
+        for series, window in zip(got, [
+                field_sum(wa, wb), neg_b, field_sum(wa, neg_b),
+                field_product(wa, wb), field_sum(wa, field_scale(wa, -1))]):
+            check_against(series, window)
+        check_against(a, wa)
+        check_against(b, wb)
+        assert agree == all(
+            field_coefficient(wa, k) == field_coefficient(wb, k)
+            for k in range(lo, prec))
+        assert (a == b) == (wa == wb)
+
+    @given(t_pair, t_coefficient, st.integers(min_value=-3, max_value=3))
+    @settings(max_examples=100, deadline=None)
+    def test_unary_operations(self, pa, c, k):
+        a, wa = pa
+        prec = field_precision(wa)
+        got = [a.scale(0), a.scale(k), a.scale(c), a.derivative()]
+        got += [a.truncated(p) for p in range(prec - 3, prec + 1)]
+        reads = [a.coefficient(e) for e in range(wa[0] - 2, prec)]
+        want = [field_scale(wa, 0), field_scale(wa, k), field_scale(wa, c),
+                t_derivative(wa)]
+        want += [field_truncated(wa, p) for p in range(prec - 3, prec + 1)]
+        if prec < 0:
+            with pytest.raises(IncompletePolePart):
+                a.pole_part()
+            with pytest.raises(IncompletePolePart):
+                a.finite_part()
+        else:
+            got += [a.pole_part(), a.finite_part()]
+            want += [field_projection(wa, True), field_projection(wa, False)]
+        for series, window in zip(got, want, strict=True):
+            check_against(series, window)
+        assert reads == [field_coefficient(wa, e)
+                         for e in range(wa[0] - 2, prec)]
+        assert all(type(x) is TPolynomial for x in reads)
+        assert all(type(v) is F for x in reads for v in x.coeffs)
+
+    @given(t_pair)
+    @settings(max_examples=50, deadline=None)
+    def test_pickle_and_copy_round_trip(self, pa):
+        a, wa = pa
+        for b in (pickle.loads(pickle.dumps(a)), copy.copy(a),
+                  copy.deepcopy(a)):
+            assert b == a and hash(b) == hash(a)
+            assert b.ring is T_POLY_RING
+            check_against(b, wa)
 
 
 class TestTKernel:

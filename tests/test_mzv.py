@@ -435,15 +435,23 @@ class TestRegularizedExpansion:
         assert products == sum(e + 1 for l in range(len(ms) - 1)
                                for e in range(ms[l], tops[l] + 1))
         rational = all(isinstance(x, Fraction) for x in r)
-        cls = mzv._QWindow if rational else mzv._DeltaWindow
+        ring = RATIONAL_FIELD if rational else DELTA_FIELD
         count = []
-        mul = cls.__mul__
+        mul = ring._product
 
-        def counted(a, b):
+        def counted(a, b, n):
             count.append(1)
-            return mul(a, b)
+            return mul(a, b, n)
 
-        monkeypatch.setattr(cls, "__mul__", counted)
+        def series_operation(*args):
+            raise AssertionError("the fold ran a series operation")
+
+        # the ring's layout product; the fold runs on bare layouts and
+        # never on series
+        monkeypatch.setattr(ring, "_product", counted)
+        for attr in ("__add__", "__mul__", "scale"):
+            monkeypatch.setattr(TruncatedLaurentSeries, attr,
+                                series_operation)
         regularized_expansion(s, r, 3)
         assert len(count) == products
 
