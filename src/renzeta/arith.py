@@ -21,21 +21,11 @@ polynomials is primitive, and a primitive polynomial that divides another
 over Q divides it over Z with a primitive quotient, so p and q never leave
 the integers and every rational factor lives in c.  ``poly_gcd`` runs
 Euclid on pseudo-remainders, each made primitive again; a constant operand
-gives 1 at once.  ``_exact_quotient`` raises instead of truncating.  The
-operators start from canonical operands and cancel before multiplying, as
-``fractions.Fraction`` does (Henrici's method), so their results need no
-full reduction:
-
-- a product divides out g1 = gcd(p_a, q_b) and g2 = gcd(p_b, q_a); what is
-  left of each p is coprime to both q;
-- a sum with g = gcd(q_a, q_b) forms the integer polynomial
-  n = m c_a p_a (q_b/g) + m c_b p_b (q_a/g) over m q_a (q_b/g), m the
-  product of the denominators of c_a and c_b: a prime of q_a/g divides
-  p_b (q_a/g) but neither p_a nor q_b/g, so only the primes of g can divide
-  n, and dividing out gcd(n, g) leaves a coprime pair;
-- negation, the swap of p and q and powers of a coprime pair stay coprime.
-
-Every polynomial gcd goes through ``poly_gcd``.
+gives 1 at once.  ``_exact_quotient`` raises instead of truncating.  A sum
+or a product is built from its canonical operands as an integer row over
+an integer times q_a q_b and reduced by ``_of_integers``, the one caller of
+``poly_gcd``: plain code suits the field's two roles, the package's public
+scalar type and the tests' independent reference for the integer layout.
 
 Products of Fraction polynomials (``poly_mul``) bring each factor over one
 common denominator and convolve the integer numerators in
@@ -452,24 +442,12 @@ class DeltaRationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o._p:
-            return self
-        if not self._p:
-            return o
         na, da = self._c.as_integer_ratio()
         nb, db = o._c.as_integer_ratio()
-        g = poly_gcd(self._q, o._q)
-        ka, kb = _exact_quotient(self._q, g), _exact_quotient(o._q, g)
-        n = _row_sum(_poly_times(self._p, kb), na * db,
-                     _poly_times(o._p, ka), nb * da)
-        if not n:
-            return DeltaRationalFunction._new(_ZERO, (), (1,))
-        k, n = _primitive(n)
-        # the factors of ka and kb cannot divide n; only those of g can
-        h = poly_gcd(n, g)
-        return DeltaRationalFunction._new(
-            Fraction(k, da * db), _exact_quotient(n, h),
-            tuple(_poly_times(_exact_quotient(self._q, h), kb)))
+        return DeltaRationalFunction._of_integers(
+            _row_sum(_poly_times(self._p, o._q), na * db,
+                     _poly_times(o._p, self._q), nb * da),
+            da * db, tuple(_poly_times(self._q, o._q)))
 
     __radd__ = __add__
 
@@ -492,17 +470,11 @@ class DeltaRationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # cancel across before multiplying (module docstring)
-        if not self._p or not o._p:
-            return DeltaRationalFunction._new(_ZERO, (), (1,))
-        g1 = poly_gcd(self._p, o._q)
-        g2 = poly_gcd(o._p, self._q)
-        return DeltaRationalFunction._new(
-            self._c * o._c,
-            tuple(_poly_times(_exact_quotient(self._p, g1),
-                              _exact_quotient(o._p, g2))),
-            tuple(_poly_times(_exact_quotient(self._q, g2),
-                              _exact_quotient(o._q, g1))))
+        na, da = self._c.as_integer_ratio()
+        nb, db = o._c.as_integer_ratio()
+        return DeltaRationalFunction._of_integers(
+            [na * nb * x for x in _poly_times(self._p, o._p)],
+            da * db, tuple(_poly_times(self._q, o._q)))
 
     __rmul__ = __mul__
 
@@ -526,15 +498,11 @@ class DeltaRationalFunction:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0 and not self._p:
-            raise ZeroDivisionError("zero has no negative power")
         base = self._inverse() if exponent < 0 else self
-        # powers of a coprime pair stay coprime
-        p, q = (1,), (1,)
+        out = DeltaRationalFunction.from_rational(_ONE)
         for _ in range(abs(exponent)):
-            p, q = _poly_times(p, base._p), _poly_times(q, base._q)
-        return DeltaRationalFunction._new(
-            base._c ** abs(exponent), tuple(p), tuple(q))
+            out = out * base
+        return out
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -169,6 +169,14 @@ def argument_word(exponents, directions) -> Word:
     return Word(Letter(x, rx) for x, rx in zip(s, r))
 
 
+def _check_count(what, value, least):
+    """Refuse a bool, a non-int or an int below least, as argument_word
+    refuses an exponent."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(
+            f"{what} must be an integer >= {least}, not {value!r}")
+
+
 def _ring_for(word):
     """Q(delta) if a letter of the validated word has a delta-direction,
     else Q."""
@@ -240,8 +248,8 @@ def expansion_plans(exponents, directions):
     """Yield one plan per monomial of prod_i (j_i + ... + j_k)^(m_i), its
     cumulative directions in the argument's ring.
 
-    This is the public monomial enumeration and the oracle the tests sum
-    plan by plan; regularized_expansion no longer uses it.
+    The public monomial enumeration: the tests sum its plans one by one as
+    the oracle of regularized_expansion.
     """
     ring, ms, rho = _cumulative(exponents, directions)
     if ring is DELTA_FIELD:
@@ -270,10 +278,8 @@ def one_var_series(power: int, direction,
     lies in the direction's ring, Q(delta) or Q, and is the one the
     regularized expansion builds (_one_var_integers).
     """
-    if power < 0:
-        raise ValueError("slot power must be >= 0")
-    if precision < 1:
-        raise ValueError("window must reach past eps^0")
+    _check_count("slot power", power, 0)
+    _check_count("precision", precision, 1)
     rho = _check_direction(direction)
     ring = RATIONAL_FIELD
     if isinstance(rho, DeltaRationalFunction):
@@ -336,8 +342,7 @@ def regularized_expansion(exponents, directions,
     F(1, m_1) lands exactly on [-M, precision).  The recursion folds the
     bare integer layouts of the argument's ring.
     """
-    if precision < 1:
-        raise ValueError("window must reach past eps^0")
+    _check_count("precision", precision, 1)
     _, ms, rho = _cumulative(exponents, directions)
     return _expansion(ms, rho, precision)
 

@@ -356,6 +356,10 @@ class TestFieldAgainstOracle:
     @given(fractions_in_delta, fractions_in_delta)
     @settings(max_examples=100, deadline=None)
     @example(((0, 1), (1, 1)), ((1,), (1, 1)))
+    # d/(1+d) * (1+d)/d = 1 cancels crosswise
+    @example(((0, 1), (1, 1)), ((1, 1), (0, 1)))
+    # 1/d + 1/(1+d): coprime denominators
+    @example(((1,), (0, 1)), ((1,), (1, 1)))
     def test_operators_equal_the_reduced_naive_pair(self, p, q):
         a, b = DRF(*p), DRF(*q)
         (na, da), (nb, db) = as_pair(a), as_pair(b)

@@ -195,6 +195,11 @@ class TestOneVarSeries:
             one_var_series(-1, 1, 2)
         with pytest.raises(ValueError):
             one_var_series(0, 1, 0)
+        # a bool or a non-int power or precision, as for an exponent
+        for power, precision in ((True, 3), (1.0, 3), (1, True), (1, 3.0),
+                                 (F(1), 3), (1, F(3))):
+            with pytest.raises(ValueError):
+                one_var_series(power, 1, precision)
 
     def test_float_cross_check(self):
         eps0 = -0.05
@@ -492,6 +497,12 @@ class TestRegularizedExpansion:
             monkeypatch.setattr(DeltaRationalFunction, name, counted)
         assert regularized_expansion(s, r, 3) == want
         assert calls == []
+
+    @pytest.mark.parametrize("precision", [0, -1, True, False, 1.0, F(2)])
+    def test_precision_validation(self, precision):
+        # a bool or a non-int precision, as for an exponent
+        with pytest.raises(ValueError):
+            regularized_expansion((0,), (1,), precision)
 
     @pytest.mark.parametrize("s, r", [
         ((-1, 0), (F(1), F(2))),
