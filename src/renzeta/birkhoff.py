@@ -92,10 +92,13 @@ class PrecisionBudget:
 def _linear_extension(character, word_map,
                       x: HopfElement) -> TruncatedLaurentSeries:
     """Sum of coeff * word_map(word) over the terms of x, in the ring and
-    window of the character."""
+    window of the character: an int multiplicity is the weight of one
+    series sum, any other coefficient scales its series first."""
     acc = zero_series(character.ring, character.budget.requested_precision)
-    for word, coeff in x.terms.items():
-        acc = acc + word_map(word).scale(coeff)
+    for word, coeff in x._terms.items():
+        term = word_map(word)
+        acc = (acc._plus(term, coeff) if type(coeff) is int
+               else acc + term.scale(coeff))
     return acc
 
 

@@ -18,8 +18,12 @@ derivation commutes with the projector; with T present it does not, and the
 test suite pins the standard witness instead of pretending otherwise.
 
 The three rings store their windows in two integer layouts, and each
-layout's sum, product and integer scale is written once, below; the
-regularized expansion (``mzv``) folds bare layouts with the same helpers.
+layout has two operations, written once below: the weighted sum a + k b
+for an integer k and the product.  Sums, differences and ``windows_agree``
+(a - b is the zero window, on every ring) are the weighted sum; a scale by
+a ring element, negation included, is the product with the element's
+one-slot window.  The regularized expansion (``mzv``) folds bare layouts
+with the same two.
 
 - Over Q a window is (nums, den): integer numerators over one positive
   integer denominator, FLINT's ``fmpq_poly`` layout.  A sum brings two
@@ -33,16 +37,16 @@ regularized expansion (``mzv``) folds bare layouts with the same helpers.
   combines the integers through one gcd; a product convolves the rows on
   ``arith``'s ``_convolve_rows`` and adds the exponents.
 
-A new series strips leading zeros and divides out the integer content;
-polynomials are never reduced.  The Q pair is then canonical, so ``==``
-and ``hash`` compare it exactly; the row layouts compare coefficients.
-The projectors, negation, the derivative and truncation work on the
-layout, and ``windows_agree`` cross-multiplies over Q and subtracts over
-the rows: none of them builds a coefficient.  ``coeffs`` builds the
-coefficients on first read and keeps them; ``coefficient``, printing,
-JSON and pickling go through it.  A Q(delta) coefficient is reduced to
-the canonical c p/q of ``arith`` when read, one gcd each, so
-``limit_at_zero`` raises PoleAtZero exactly where the field would.
+A new series is made from a layout: it strips leading zeros and divides
+out the integer content; polynomials are never reduced.  The Q pair is
+then canonical, so ``==`` and ``hash`` compare it exactly; the row layouts
+compare coefficients.  Sums, products, the projectors, the derivative and
+truncation work on the layout: none of them builds a coefficient.
+``coeffs`` builds the coefficients on first read and keeps them;
+``coefficient``, printing, JSON and pickling go through it.  A Q(delta)
+coefficient is reduced to the canonical c p/q of ``arith`` when read, one
+gcd each, so ``limit_at_zero`` raises PoleAtZero exactly where the field
+would.
 
 Every ring derives from ``_Ring``: coercion through the element class's
 ``_coerce``, the zero test, and the helpers of its layout.  A ring keeps
@@ -108,25 +112,22 @@ class InsufficientPrecision(PrecisionError):
 
 
 # ---------------------------------------------------------------------------
-# The Q layout: (nums, den) is nums[i] / den, den > 0.  The sum and the
-# integer scale take windows on one exponent range; the product keeps the
-# first n coefficients.
+# The Q layout: (nums, den) is nums[i] / den, den > 0.  The sum a + k b
+# takes windows on one exponent range; the product keeps the first n
+# coefficients.
 
-def _q_sum(a, b) -> tuple:
-    """a + b over the least common denominator, through one gcd."""
+def _q_sum(a, b, k=1) -> tuple:
+    """a + k b for an integer k, over the least common denominator,
+    through one gcd."""
     nums_a, den_a = a
     nums_b, den_b = b
     g = math.gcd(den_a, den_b)
-    ka, kb = den_b // g, den_a // g
+    ka, kb = den_b // g, k * (den_a // g)
     return [x * ka + y * kb for x, y in zip(nums_a, nums_b)], den_a * ka
 
 
 def _q_product(a, b, n: int) -> tuple:
     return _convolve_integers(a[0], b[0], n), a[1] * b[1]
-
-
-def _q_scale(a, k: int) -> tuple:
-    return [k * x for x in a[0]], a[1]
 
 
 def _q_normal(nums, den) -> tuple:
@@ -161,17 +162,17 @@ def _lifted(rows, factors, target) -> list:
     return [_poly_times(r, lift) for r in rows]
 
 
-def _factored_sum(a, b) -> tuple:
-    """a + b: both lifted to the larger exponent of each factor, the
-    integer denominators combined through one gcd."""
+def _factored_sum(a, b, k=1) -> tuple:
+    """a + k b for an integer k: both lifted to the larger exponent of
+    each factor, the integer denominators combined through one gcd."""
     rows_a, den_a, fac_a = a
     rows_b, den_b, fac_b = b
     factors = dict(fac_a)
-    for p, k in fac_b.items():
-        if k > factors.get(p, 0):
-            factors[p] = k
+    for p, e in fac_b.items():
+        if e > factors.get(p, 0):
+            factors[p] = e
     g = math.gcd(den_a, den_b)
-    ka, kb = den_b // g, den_a // g
+    ka, kb = den_b // g, k * (den_a // g)
     return ([_row_sum(x, ka, y, kb) for x, y in zip(
         _lifted(rows_a, fac_a, factors), _lifted(rows_b, fac_b, factors))],
         den_a * ka, factors)
@@ -186,11 +187,6 @@ def _factored_product(a, b, n: int) -> tuple:
     for p, k in fac_b.items():
         factors[p] = factors.get(p, 0) + k
     return _convolve_rows(rows_a, rows_b, n), den_a * den_b, factors
-
-
-def _factored_scale(a, k: int) -> tuple:
-    rows, den, factors = a
-    return [[k * v for v in r] for r in rows], den, factors
 
 
 def _factored_normal(rows, den, factors) -> tuple:
@@ -222,7 +218,6 @@ class _Ring:
     _blank = ()
     _sum = staticmethod(_factored_sum)
     _product = staticmethod(_factored_product)
-    _scale = staticmethod(_factored_scale)
     _normal = staticmethod(_factored_normal)
 
     def __reduce__(self):
@@ -246,7 +241,6 @@ class RationalField(_Ring):
     _blank = 0
     _sum = staticmethod(_q_sum)
     _product = staticmethod(_q_product)
-    _scale = staticmethod(_q_scale)
     _normal = staticmethod(_q_normal)
 
     def coerce(self, value):
@@ -459,33 +453,30 @@ class TruncatedLaurentSeries:
         cs = tuple(ring.coerce(c) for c in coeffs)
         if not cs:
             raise ValueError("series window must contain at least one slot")
-        self._fill(ring, min_order, ring._layout(cs), cs)
+        self._fill(ring, min_order, ring._layout(cs))
 
-    def _fill(self, ring, min_order: int, layout, coeffs):
+    def _fill(self, ring, min_order: int, layout):
         """Set the slots of a new series from its window in ring's layout,
-        starting at eps^min_order, and its values or None: leading zeros
-        are stripped and the integer content divided out; polynomial
-        factors stay as they are."""
+        starting at eps^min_order: leading zeros stripped, the integer
+        content divided out, polynomial factors kept as they are."""
         row = layout[0]
         first, last = 0, len(row) - 1
         while first < last and not row[first]:
             first += 1
         if first:
             row = row[first:]
-            if coeffs is not None:
-                coeffs = coeffs[first:]
         put = object.__setattr__
         put(self, "ring", ring)
         put(self, "min_order", min_order + first)
         put(self, "_layout", ring._normal(row, *layout[1:]))
-        put(self, "_coeffs", coeffs)
+        put(self, "_coeffs", None)
         return self
 
     @classmethod
     def _of_layout(cls, ring, min_order: int, layout):
         """The series of ring whose window in ring's layout starts at
         eps^min_order (_fill)."""
-        return object.__new__(cls)._fill(ring, min_order, layout, None)
+        return object.__new__(cls)._fill(ring, min_order, layout)
 
     def _with_row(self, min_order: int, row):
         """A series of self's ring from a row over self's denominators."""
@@ -532,7 +523,8 @@ class TruncatedLaurentSeries:
         if self.ring is not other.ring:
             raise TypeError("series over different coefficient rings")
 
-    def __add__(self, other):
+    def _plus(self, other, k: int):
+        """self + k other for an integer k, in the layout."""
         if not isinstance(other, TruncatedLaurentSeries):
             return NotImplemented
         self._check_partner(other)
@@ -542,16 +534,16 @@ class TruncatedLaurentSeries:
         prec = min(self.precision, other.precision)
         lo = min(self.min_order, other.min_order)
         return self._of_layout(self.ring, lo, self.ring._sum(
-            _aligned(self, lo, prec), _aligned(other, lo, prec)))
+            _aligned(self, lo, prec), _aligned(other, lo, prec), k))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, TruncatedLaurentSeries):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return self._of_layout(self.ring, self.min_order,
-                               self.ring._scale(self._layout, -1))
+        return self.scale(-1)
 
     def __mul__(self, other):
         if isinstance(other, TruncatedLaurentSeries):
@@ -569,13 +561,13 @@ class TruncatedLaurentSeries:
         return self.scale(other)
 
     def scale(self, value):
+        """self times one element of its ring (an int or Fraction is
+        coerced), on the same window: the product with the element's
+        one-slot window.  A zero element gives the zero window."""
         ring = self.ring
-        c = ring.coerce(value)
-        if ring.is_zero(c):
-            return zero_series(ring, self.precision)
-        # the product with the one-slot window of c
         return self._of_layout(ring, self.min_order, ring._product(
-            self._layout, ring._layout((c,)), len(self._layout[0])))
+            self._layout, ring._layout((ring.coerce(value),)),
+            len(self._layout[0])))
 
     # -- the projector pair -------------------------------------------------
 
@@ -727,14 +719,6 @@ def series_from_terms(ring, terms, precision: int) -> TruncatedLaurentSeries:
 
 def windows_agree(a: TruncatedLaurentSeries,
                   b: TruncatedLaurentSeries) -> bool:
-    """Equality of the two exact values on the window both sides know."""
-    if a.ring is not b.ring:
-        return False
-    if a.ring is not RATIONAL_FIELD:
-        # a - b is known on [lo, prec), in the layout
-        return (a - b).is_zero_window()
-    # x / den_a == y / den_b, cross-multiplied
-    prec = min(a.precision, b.precision)
-    lo = min(a.min_order, b.min_order)
-    (xs, den_a), (ys, den_b) = _aligned(a, lo, prec), _aligned(b, lo, prec)
-    return [x * den_b for x in xs] == [y * den_a for y in ys]
+    """Equality of the two exact values on the window both sides know,
+    where a - b is known."""
+    return a.ring is b.ring and (a - b).is_zero_window()

@@ -32,12 +32,13 @@ exact on [-(a+1), precision + M - (a+1)).  A product of two windows of one
 length keeps that length, and every term of F(l, e) starts at -R(l, e),
 with R(l, e) = e + 1 + sum_{i>l} (m_i + 1); so F(l, e) is exact on
 [-R(l, e), precision + M - R(l, e)), and the root, with R(1, m_1) = M,
-lands on [-M, precision).  The recursion needs only window products, sums
-and integer scaling.
+lands on [-M, precision).  The recursion needs only window products and
+sums a + C(e, a) b weighted by an integer.
 
 The recursion folds bare integer layouts, the layouts of the series
-(``laurent``), with the series' own sum, product and integer scale, chosen
-once per expansion from the ring.  Over Q a window is (nums, den), integer
+(``laurent``), with the series' own weighted sum and product, taken from
+the ring its caller passes: regularized_expansion passes the argument's
+ring, the character its own.  Over Q a window is (nums, den), integer
 numerators over one denominator.  Over Q(delta) it is (rows, den,
 factors): ``hopf._check_direction`` admits only delta-polynomial
 directions, so every cumulative direction rho_l is a polynomial, summed
@@ -85,7 +86,8 @@ when the canonical form still has a pole there, PoleAtZero propagates.
 An argument is validated once, by argument_word; the character expands
 the words of a validated argument through the private recursion entry
 _expansion, and only the public regularized_expansion and
-expansion_plans validate their input.
+expansion_plans validate their input (one_var_series through
+regularized_expansion).
 
 The character sizes each word to what the decomposition reads (birkhoff
 module docstring): with budget B, a word of pole depth M is expanded at
@@ -126,7 +128,7 @@ from renzeta.birkhoff import (
     DecompositionSession,
     PrecisionBudget,
 )
-from renzeta.hopf import Letter, Word, _check_direction
+from renzeta.hopf import Letter, Word
 from renzeta.laurent import (
     DELTA_FIELD,
     RATIONAL_FIELD,
@@ -236,14 +238,6 @@ def _slots(word, ring):
     return ms, tuple(accumulate(pairs, _pair_sum))
 
 
-def _cumulative(exponents, directions):
-    """The ring of a validated argument, its m_i = -s_i and its cumulative
-    directions (_slots)."""
-    word = argument_word(exponents, directions)
-    ring = _ring_for(word)
-    return (ring,) + _slots(word, ring)
-
-
 def expansion_plans(exponents, directions):
     """Yield one plan per monomial of prod_i (j_i + ... + j_k)^(m_i), its
     cumulative directions in the argument's ring.
@@ -251,7 +245,9 @@ def expansion_plans(exponents, directions):
     The public monomial enumeration: the tests sum its plans one by one as
     the oracle of regularized_expansion.
     """
-    ring, ms, rho = _cumulative(exponents, directions)
+    word = argument_word(exponents, directions)
+    ring = _ring_for(word)
+    ms, rho = _slots(word, ring)
     if ring is DELTA_FIELD:
         rho = tuple(DeltaRationalFunction._new(c, p, (1,)) for c, p in rho)
     k = len(ms)
@@ -275,17 +271,11 @@ def one_var_series(power: int, direction,
     Single pole of order power+1 with coefficient
     (-1)^(power+1) power! direction^(-power-1), no other negative
     exponents, and zeta(-power-j) direction^j / j! at eps^j.  The window
-    lies in the direction's ring, Q(delta) or Q, and is the one the
-    regularized expansion builds (_one_var_integers).
+    lies in the direction's ring, Q(delta) or Q: it is the regularized
+    expansion of the one-slot argument (-power,), validated there.
     """
     _check_count("slot power", power, 0)
-    _check_count("precision", precision, 1)
-    rho = _check_direction(direction)
-    ring = RATIONAL_FIELD
-    if isinstance(rho, DeltaRationalFunction):
-        ring, rho = DELTA_FIELD, (rho._c, rho._p)
-    return TruncatedLaurentSeries._of_layout(
-        ring, -(power + 1), _one_var_integers(power, rho, precision))
+    return regularized_expansion((-power,), (direction,), precision)
 
 
 # (b, c) -> (den, nums) of the longest W(b, c) asked for, the pole numerator
@@ -343,16 +333,16 @@ def regularized_expansion(exponents, directions,
     bare integer layouts of the argument's ring.
     """
     _check_count("precision", precision, 1)
-    _, ms, rho = _cumulative(exponents, directions)
-    return _expansion(ms, rho, precision)
+    word = argument_word(exponents, directions)
+    return _expansion(_ring_for(word), word, precision)
 
 
-def _expansion(ms, rho, precision: int) -> TruncatedLaurentSeries:
-    """regularized_expansion of the slot powers ms and the cumulative
-    directions rho of a validated word (_slots), precision >= 1.  Every
-    window has the one length precision + M, and so has every product."""
-    ring = DELTA_FIELD if isinstance(rho[0], tuple) else RATIONAL_FIELD
-    add, mul, scale = ring._sum, ring._product, ring._scale
+def _expansion(ring, word, precision: int) -> TruncatedLaurentSeries:
+    """regularized_expansion of a validated word in ring, precision >= 1.
+    Every window has the one length precision + M, and so has every
+    product."""
+    add, mul = ring._sum, ring._product
+    ms, rho = _slots(word, ring)
     k = len(ms)
     length = precision + sum(ms) + k
     tops = tuple(accumulate(ms))
@@ -364,13 +354,10 @@ def _expansion(ms, rho, precision: int) -> TruncatedLaurentSeries:
                    for a in range(tops[slot] + 1)]
         inner, level = level, {}
         for e in range(ms[slot], tops[slot] + 1):
-            acc = None
-            for a in range(e + 1):
-                term = mul(windows[a], inner[e - a + ms[slot + 1]], length)
-                c = math.comb(e, a)
-                if c != 1:
-                    term = scale(term, c)
-                acc = term if acc is None else add(acc, term)
+            acc = mul(windows[0], inner[e + ms[slot + 1]], length)
+            for a in range(1, e + 1):
+                acc = add(acc, mul(windows[a], inner[e - a + ms[slot + 1]],
+                                   length), math.comb(e, a))
             level[e] = acc
     # the root starts at eps^-M, M = length - precision
     return TruncatedLaurentSeries._of_layout(ring, precision - length,
@@ -395,7 +382,7 @@ def expansion_character(ring, taylor_order: int,
         # the character owns the ring: a rational sub-word of a Q(delta)
         # argument must still land in Q(delta); its letters were validated
         # when the word was built
-        return _expansion(*_slots(word, ring),
+        return _expansion(ring, word,
                           budget.requested_precision - word.pole_depth())
 
     return Character(ring, word_fn, budget)

@@ -66,9 +66,9 @@ def test_traced_pass_reaches_every_layer():
         "arith.qdelta_ops": 0, "arith.poly_gcd_calls": 5,
         "arith.value_max_bits": 0}
     # the mzv work: the words the sessions decompose, each expanded once
-    # by a character call; the character passes a word's letters to the
-    # private recursion entry, not to the traced public
-    # regularized_expansion
+    # by a character call; the character passes its own ring and the
+    # validated word to the private recursion entry _expansion, not to
+    # the traced public regularized_expansion
     assert {key: counters[key] for key in (
         "mzv.expansion_calls", "birkhoff.character_calls",
         "birkhoff.words_decomposed")} == {

@@ -82,6 +82,14 @@ class TestCharacter:
         direct = c.on_word(W([(0, 1)])).scale(2) \
             + c.on_word(W([(-1, 2)])).scale(F(-1, 3))
         assert windows_agree(c.on_element(x), direct)
+        # over Q(delta): an int multiplicity weights one series sum, a
+        # delta function scales its series
+        c = expansion_character(DELTA_FIELD, 1, 3)
+        u, v = W([(0, 1 + DELTA)]), W([(-1, 2)])
+        x = HopfElement({u: 3, v: 1 / (1 + DELTA)})
+        direct = c.on_word(u).scale(3) + c.on_word(v).scale(1 / (1 + DELTA))
+        assert windows_agree(c.on_element(x), direct)
+        assert not windows_agree(c.on_element(x), c.on_word(u) + direct)
 
     def test_positive_sector_rejected(self, session):
         with pytest.raises(ValueError):

@@ -235,14 +235,14 @@ def test_series_expands_the_full_word_once(capsys, monkeypatch):
     seen = []
     expand = mzv._expansion
 
-    def spy(ms, rho, precision):
-        seen.append(ms)
-        return expand(ms, rho, precision)
+    def spy(ring, word, precision):
+        seen.append(word)
+        return expand(ring, word, precision)
 
     monkeypatch.setattr(mzv, "_expansion", spy)
     rc, _, _ = run(capsys, ["series", "--s", "0,-1", "--r", "1,2"])
     assert rc == 0
-    assert seen.count((0, 1)) == 1
+    assert seen.count(mzv.argument_word((0, -1), (1, 2))) == 1
 
 
 def test_series_json_schema(capsys):

@@ -433,6 +433,7 @@ class TestSumReachingPastAWindow:
             assert s.ring is ring
             assert s.is_zero_window() and s.precision == -1
             assert s == zero_series(ring, -1)
+        assert windows_agree(a, b) and windows_agree(b, a)
 
 
 # The Q and Q(delta) series store integer numerators; these tests compare
@@ -539,6 +540,8 @@ class TestIntegerLayoutAgainstFractions:
         check_against(-b, neg_b)
         check_against(a - b, field_sum(wa, neg_b))
         check_against(a * b, field_product(wa, wb))
+        for k in range(-3, 4):
+            check_against(a._plus(b, k), field_sum(wa, field_scale(wb, k)))
         lo = min(wa[0], wb[0])
         prec = min(field_precision(wa), field_precision(wb))
         assert windows_agree(a, b) == all(
@@ -652,11 +655,14 @@ class TestFactoredLayoutAgainstTheField:
         prec = min(field_precision(wa), field_precision(wb))
         # every result is built before any coefficient of a or b is read
         got = [a + b, -b, a - b, a * b, a - a]
+        got += [a._plus(b, k) for k in range(-3, 4)]
         agree = windows_agree(a, b)
         neg_b = field_scale(wb, -1)
         for series, window in zip(got, [
                 field_sum(wa, wb), neg_b, field_sum(wa, neg_b),
-                field_product(wa, wb), field_sum(wa, field_scale(wa, -1))]):
+                field_product(wa, wb), field_sum(wa, field_scale(wa, -1))]
+                + [field_sum(wa, field_scale(wb, k)) for k in range(-3, 4)],
+                strict=True):
             check_against(series, window)
         check_against(a, wa)
         check_against(b, wb)
@@ -745,11 +751,14 @@ class TestRowLayoutAgainstTPolynomials:
         lo = min(wa[0], wb[0])
         prec = min(field_precision(wa), field_precision(wb))
         got = [a + b, -b, a - b, a * b, a - a]
+        got += [a._plus(b, k) for k in range(-3, 4)]
         agree = windows_agree(a, b)
         neg_b = field_scale(wb, -1)
         for series, window in zip(got, [
                 field_sum(wa, wb), neg_b, field_sum(wa, neg_b),
-                field_product(wa, wb), field_sum(wa, field_scale(wa, -1))]):
+                field_product(wa, wb), field_sum(wa, field_scale(wa, -1))]
+                + [field_sum(wa, field_scale(wb, k)) for k in range(-3, 4)],
+                strict=True):
             check_against(series, window)
         check_against(a, wa)
         check_against(b, wb)
