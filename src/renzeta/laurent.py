@@ -20,10 +20,10 @@ test suite pins the standard witness instead of pretending otherwise.
 The three rings store their windows in two integer layouts, and each
 layout has two operations, written once below: the weighted sum a + k b
 for an integer k and the product.  Sums, differences and ``windows_agree``
-(a - b is the zero window, on every ring) are the weighted sum; a scale by
-a ring element, negation included, is the product with the element's
-one-slot window.  The regularized expansion (``mzv``) folds bare layouts
-with the same two.
+(a - b is the zero window, on every ring) are the weighted sum, and so is
+negation, as s - 2 s; a scale by a ring element is the product with the
+element's one-slot window.  The regularized expansion (``mzv``) folds bare
+layouts with the same two.
 
 - Over Q a window is (nums, den): integer numerators over one positive
   integer denominator, FLINT's ``fmpq_poly`` layout.  A sum brings two
@@ -543,7 +543,8 @@ class TruncatedLaurentSeries:
         return self._plus(other, -1)
 
     def __neg__(self):
-        return self.scale(-1)
+        # self - 2 self: the weighted sum, no product
+        return self._plus(self, -2)
 
     def __mul__(self, other):
         if isinstance(other, TruncatedLaurentSeries):

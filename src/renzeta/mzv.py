@@ -59,24 +59,34 @@ would, never a removable 0/0 left over from factors kept apart (d and
 d + d^2 share d and are two factors).
 
 One place builds every one-variable window, for the expansion and
-one_var_series alike, straight into this integer layout.  With rho = c p,
-c the rational content and p the primitive integer part (p = 1 over Q; a
-delta-direction stores both), W(b, rho) is the rational scalars of (b, c),
-(-1)^(b+1) b! c^(-b-1) at the pole and zeta(-b-j) c^j / j! at eps^j, over
-one integer denominator; over Q(delta) the numerator at eps^j is
-multiplied by p^(j+b+1), over the factor p^(b+1).  The integers come from
-one process-wide memo keyed by (b, c): Q and Q(delta) share its entries,
-as do directions of one content (1, 1 + d, 1 + 2d).  An entry is the
-layout itself, (den, nums): the pole numerator and the Taylor numerators
-of the longest window asked for, over their least common denominator.  A
-longer request extends the entry: it builds only the scalars the entry
-lacks and brings the old numerators over the new lcm.  A shorter one
-slices the numerators over the same den.  The slice is exact but need not
-be in lowest terms; both series layouts divide out the integer content of
-a new window, and a Q(delta) coefficient is reduced when read.  The memo
-holds one entry per (b, c) ever asked for and grows with the direction
-contents of the process.  Entries are replaced whole, never changed in
-place, so concurrent callers at worst build an entry twice.
+one_var_series alike, straight into this integer layout.  Write rho = c p,
+c = u/v the rational content and p the primitive integer part (p = 1 over
+Q; a delta-direction stores both).  The direction enters W only through
+the product rho eps, so W(b, c)(eps) = W(b, 1)(c eps): the scalar at eps^j
+is c^j times that of the unit window W(b, 1), which is (-1)^(b+1) b! at
+the pole eps^(-b-1) and zeta(-b-j) / j! at eps^j.  One direction-free
+integer row per power b holds W(b, 1) as (den, nums), the pole numerator
+first, over one denominator; a longer request extends it by only the
+scalars it lacks and brings the old numerators over the new lcm.  The
+window at c = u/v through eps^L is that row scaled on integers: the pole
+numerator times v^(b+1+L), the numerator at eps^j times u^(j+b+1) v^(L-j)
+and the denominator times u^(b+1) v^L, and then the integer content is
+divided out by one gcd.  So a new direction costs a few integer multiplies
+per coefficient and builds no Fraction.  Over Q(delta) the numerator at
+eps^j is then multiplied by p^(j+b+1), over the factor p^(b+1).
+
+Scaled windows are kept in a process-wide memo keyed by the ints
+(b, u, v): Q and Q(delta) share its entries, as do directions of one
+content (1, 1 + d, 1 + 2d).  An entry is the longest window of its key
+asked for.  A longer request scales the row anew; a shorter one slices the
+numerators over the same den.  The slice is exact but need not be in
+lowest terms; both series layouts divide out the integer content of a new
+window, and a Q(delta) coefficient is reduced when read.  The memo holds
+at most 1024 entries and evicts the oldest first, whatever directions a
+process sees; the rows grow only with the powers and lengths asked for.
+Rows and entries are replaced whole, never changed in place, so concurrent
+callers at worst build one twice; a store and its evictions hold one lock,
+so the bound holds under threads.
 
 Renormalized values: the decomposition engine splits the regularized window,
 and the constant term of its pole-free part at a given direction vector is
@@ -111,6 +121,7 @@ delta = 0, need the field.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -278,42 +289,89 @@ def one_var_series(power: int, direction,
     return regularized_expansion((-power,), (direction,), precision)
 
 
-# (b, c) -> (den, nums) of the longest W(b, c) asked for, the pole numerator
-# first, shared by the directions of content c in both rings (module
-# docstring)
+# b -> (den, nums) of the unit window W(b, 1), the pole numerator first, as
+# long as the longest window of power b asked for; every content scales it
+# (module docstring)
+_one_var_rows: dict = {}
+
+# (b, u, v) -> (den, nums) of the longest W(b, u/v) asked for, scaled from
+# the unit row and shared by the directions of content u/v in both rings;
+# at most _ONE_VAR_WINDOWS_MAX entries, the oldest evicted first.  Stores
+# and evictions hold the lock, so the bound holds under threads; a read
+# takes no lock
 _one_var_windows: dict = {}
+_ONE_VAR_WINDOWS_MAX = 1024
+_one_var_store = threading.Lock()
 
 
-def _one_var_scalar(b, c, j) -> Fraction:
-    """The scalar of W(b, c) at eps^j, or at the pole eps^(-b-1) for
+def _one_var_scalar(b, j) -> Fraction:
+    """The scalar of W(b, 1) at eps^j, or at the pole eps^(-b-1) for
     j = -1."""
     if j < 0:
-        return (-1) ** (b + 1) * math.factorial(b) / c ** (b + 1)
-    z = zeta_nonpositive(b + j)
-    # zeta vanishes at the negative even integers
-    return z * c ** j / math.factorial(j) if z else z
+        return Fraction((-1) ** (b + 1) * math.factorial(b))
+    return zeta_nonpositive(b + j) / math.factorial(j)
 
 
-def _one_var_integers(b, rho, precision):
-    """The layout of W(b, rho) on [-(b+1), precision) (module docstring):
-    the first precision + 1 numerators of the memo entry of (b, c) over
-    its den, the entry extended first if it is shorter.  The Q pair for a
-    rational rho = c, else the row layout over the factor {p: b+1} for the
-    pair rho = (c, p)."""
-    c, p = rho if isinstance(rho, tuple) else (rho, None)
-    den, nums = _one_var_windows.get((b, c), (1, []))
-    if len(nums) <= precision:
-        # build only the scalars the entry lacks and bring the old
-        # numerators over the new lcm
+def _unit_row(b, n) -> tuple:
+    """The layout (den, nums) of W(b, 1) with at least n numerators: the
+    row of power b, extended first if it is shorter by building only the
+    scalars it lacks and bringing the old numerators over the new lcm."""
+    den, nums = _one_var_rows.get(b, (1, []))
+    if len(nums) < n:
         new_den, new_nums = _over_common_denominator(
-            [_one_var_scalar(b, c, j)
-             for j in range(len(nums) - 1, precision)])
+            [_one_var_scalar(b, j) for j in range(len(nums) - 1, n - 1)])
         lcm = math.lcm(den, new_den)
         nums = [x * (lcm // den) for x in nums] \
             + [x * (lcm // new_den) for x in new_nums]
         den = lcm
-        # replaced whole, never mutated: a reader keeps a consistent entry
-        _one_var_windows[b, c] = den, nums
+        # replaced whole, never mutated: a reader keeps a consistent row
+        _one_var_rows[b] = den, nums
+    return den, nums
+
+
+def _scaled_window(b, u, v, precision) -> tuple:
+    """(den, nums) of W(b, u/v) on [-(b+1), precision): the first
+    precision + 1 numerators of the unit row scaled on integers (module
+    docstring), L = precision - 1, the content divided out by one gcd."""
+    den, nums = _unit_row(b, precision + 1)
+    top, *taylor = nums[:precision + 1]
+    last = precision - 1
+    vs = [1]
+    for _ in range(b + 1 + last):
+        vs.append(vs[-1] * v)
+    # f = u^(j+b+1) at eps^j
+    f = u ** (b + 1)
+    den *= f * vs[last]
+    scaled = [top * vs[-1]]
+    for j, n in enumerate(taylor):
+        # zeta vanishes at the negative even integers
+        scaled.append(n * (f * vs[last - j]) if n else 0)
+        f *= u
+    g = math.gcd(den, *scaled)
+    return den // g, [x // g for x in scaled]
+
+
+def _one_var_integers(b, rho, precision):
+    """The layout of W(b, rho) on [-(b+1), precision) (module docstring):
+    the first precision + 1 numerators of the memo entry of (b, u, v),
+    c = u/v the content of rho, over its den; the entry is scaled anew
+    from the unit row if it is missing or shorter.  The Q pair for a
+    rational rho = c, else the row layout over the factor {p: b+1} for the
+    pair rho = (c, p)."""
+    c, p = rho if isinstance(rho, tuple) else (rho, None)
+    key = b, c.numerator, c.denominator
+    entry = _one_var_windows.get(key)
+    if entry is None or len(entry[1]) <= precision:
+        entry = _scaled_window(*key, precision)
+        with _one_var_store:
+            if key not in _one_var_windows:
+                while len(_one_var_windows) >= _ONE_VAR_WINDOWS_MAX:
+                    # insertion order: the oldest entry goes first
+                    del _one_var_windows[next(iter(_one_var_windows))]
+            # replaced whole, never mutated: a reader keeps a consistent
+            # entry
+            _one_var_windows[key] = entry
+    den, nums = entry
     top, *nums = nums[:precision + 1]
     if p is None:
         return [top] + [0] * b + nums, den

@@ -178,6 +178,30 @@ def test_delta_direction_json_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# rational directions outside the benchmark pool, whose directions are p/q
+# with p <= 6 and q <= 3 at --prec 6: wider contents and a longer window,
+# as text and JSON
+WIDE_SERIES = ["series", "--s=-3,-2,0,-1", "--r=7/5,11/3,13/2,5/4",
+               "--prec", "10"]
+WIDE_DIRECTIONAL = ["directional", "--s=-4,-4,-4", "--r=9/7,2/9,5/3"]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (WIDE_SERIES + ["--format", "text"],
+     "f83d1798d46c10aafd7dea44e5df5bb49194bfe6e12df3a215e1c1b102e4b104"),
+    (WIDE_SERIES + ["--format", "json"],
+     "f05e8fc751489f82275b41322c730f321c59b88f164ae83bca49edaf5a7ccca2"),
+    (WIDE_DIRECTIONAL + ["--format", "text"],
+     "6d9f7a5f262d276d59f721d3fa84f3780e06b1cb40229374fb261dab9ae3bbb2"),
+    (WIDE_DIRECTIONAL + ["--format", "json"],
+     "274c84df429fc4211ca93b128c8856465aedadc54bd2cf5c051e995575a14e71"),
+])
+def test_wide_rational_direction_bytes(capsys, argv, digest):
+    rc, out, err = run(capsys, argv)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_mixed_rational_and_delta_directions(capsys):
     for argv in (["directional", "--s", "0,0", "--r", "1+d,2"],
                  ["series", "--s", "0,-1", "--r", "1/2,d"]):

@@ -818,3 +818,28 @@ class TestTKernel:
             T_POLY_RING, a.min_order + b.min_order, want)
         assert all(type(c) is TPolynomial for c in p.coeffs)
         assert all(type(v) is F for c in p.coeffs for v in c.coeffs)
+
+
+class TestNegation:
+    @given(st.one_of(raw_q_window.map(
+        lambda r: TruncatedLaurentSeries(Q, *r)),
+        delta_window.map(lambda p: p[0]), t_pair.map(lambda p: p[0])))
+    @settings(max_examples=150, deadline=None)
+    def test_negation_is_a_weighted_sum(self, s):
+        # -s is s - 2 s on the layout: the value of s.scale(-1), and no
+        # product of the ring runs
+        want = s.scale(-1)
+        products = []
+        ring = type(s.ring)
+        product = ring._product
+
+        def counted(*args):
+            products.append(args)
+            return product(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ring, "_product", staticmethod(counted))
+            got = -s
+        assert products == []
+        assert got == want and got.ring is s.ring
+        assert (got.min_order, got.coeffs) == (want.min_order, want.coeffs)

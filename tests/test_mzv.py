@@ -1,6 +1,8 @@
 """End-to-end values: windows, renormalized values, and consistency checks."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 from itertools import accumulate, product
 
@@ -216,10 +218,18 @@ def fresh_one_var(b, rho, precision, ring):
     return series_from_terms(ring, terms, precision)
 
 
+def content_key(b, rho):
+    """The memo key of W(b, rho): the power and the content u/v of rho as
+    two ints."""
+    c = rho._c if isinstance(rho, DeltaRationalFunction) else rho
+    return b, c.numerator, c.denominator
+
+
 class TestOneVarMemo:
     @pytest.fixture(autouse=True)
     def empty_memo(self, monkeypatch):
         monkeypatch.setattr(mzv, "_one_var_windows", {})
+        monkeypatch.setattr(mzv, "_one_var_rows", {})
 
     @pytest.mark.parametrize("rho, ring", [
         (F(2, 3), RATIONAL_FIELD), (1 + DELTA, DELTA_FIELD),
@@ -238,13 +248,17 @@ class TestOneVarMemo:
                 for n in order:
                     assert one_var_series(b, rho, n) == \
                         fresh_one_var(b, rho, n, ring), (b, order, n)
-                # one entry per (b, content): an integer denominator over
-                # the pole numerator and the Taylor numerators of the
-                # longest ask
-                (entry,) = mzv._one_var_windows.values()
+                # one entry per (b, content), keyed by ints: an integer
+                # denominator over the pole numerator and the Taylor
+                # numerators of the longest ask
+                ((key, entry),) = mzv._one_var_windows.items()
+                assert key == content_key(b, rho)
+                assert all(type(x) is int for x in key)
                 den, nums = entry
                 assert isinstance(den, int) and den > 0
                 assert len(nums) == max(order) + 1
+                # the content is divided out of every built entry
+                assert math.gcd(den, *nums) == 1
 
     def test_directions_of_one_content_share_an_entry(self):
         # 1 + d, 1 + 2d and 1 all have content 1: one memo entry, yet each
@@ -255,7 +269,9 @@ class TestOneVarMemo:
             window = one_var_series(2, rho, 4)
             assert window.ring is ring
             assert window == fresh_one_var(2, rho, 4, ring), rho
-        assert list(mzv._one_var_windows) == [(2, F(1))]
+        assert list(mzv._one_var_windows) == [(2, 1, 1)]
+        # one unit row per power serves every content
+        assert list(mzv._one_var_rows) == [2]
 
     def test_constant_delta_direction_gets_a_delta_window(self):
         const = DeltaRationalFunction.from_rational(F(2))
@@ -297,22 +313,150 @@ class TestOneVarMemo:
             assert sliced == cold and str(sliced) == str(cold), precision
 
 
-def test_a_longer_window_builds_only_the_missing_scalars(monkeypatch):
-    # the memo entry of (b, c) grows by the scalars it lacks, each built
-    # once, the pole scalar (j = -1) first
+def counted_scalars(monkeypatch):
+    """The j of every scalar of a unit row built from here on, from empty
+    memos."""
     monkeypatch.setattr(mzv, "_one_var_windows", {})
+    monkeypatch.setattr(mzv, "_one_var_rows", {})
     built = []
     scalar = mzv._one_var_scalar
 
-    def counting(b, c, j):
+    def counting(b, j):
         built.append(j)
-        return scalar(b, c, j)
+        return scalar(b, j)
 
     monkeypatch.setattr(mzv, "_one_var_scalar", counting)
+    return built
+
+
+def test_a_longer_window_builds_only_the_missing_scalars(monkeypatch):
+    # the unit row of power b grows by the scalars it lacks, each built
+    # once, the pole scalar (j = -1) first
+    built = counted_scalars(monkeypatch)
     for n in (2, 5, 3, 9):
         assert one_var_series(1, F(2, 3), n) == \
             fresh_one_var(1, F(2, 3), n, RATIONAL_FIELD)
     assert built == list(range(-1, 9))
+
+
+def test_a_new_content_builds_no_scalar(monkeypatch):
+    # once the row of a power is long enough, the window at a new content
+    # is that row scaled on integers: no scalar and no Fraction is built
+    built = counted_scalars(monkeypatch)
+    one_var_series(3, F(1), 9)
+    assert built == list(range(-1, 9))
+    built.clear()
+    fractions = []
+    monkeypatch.setattr(mzv, "Fraction", lambda *a: fractions.append(a))
+    for rho, ring in ((F(7, 5), RATIONAL_FIELD), (F(2, 9), RATIONAL_FIELD),
+                      (F(5, 3) + DELTA, DELTA_FIELD),
+                      (F(11, 4) * (1 + DELTA), DELTA_FIELD)):
+        for n in (4, 9):
+            window = one_var_series(3, rho, n)
+            assert window == fresh_one_var(3, rho, n, ring), (rho, n)
+    assert built == [] and fractions == []
+    assert len(mzv._one_var_windows) == 5
+    assert list(mzv._one_var_rows) == [3]
+
+
+q_content = st.builds(F, st.integers(1, 50), st.integers(1, 50))
+
+
+@st.composite
+def one_var_requests(draw):
+    """Requests (b, rho, precision, ring) at a few contents p/q, p, q <= 50,
+    in both rings, in a random order."""
+    contents = draw(st.lists(q_content, min_size=1, max_size=3))
+    request = st.tuples(
+        st.integers(0, 6), st.sampled_from(contents),
+        st.sampled_from(("Q", "constant", "1 + d", "d + 2d^2")),
+        st.integers(1, 10))
+    shapes = {"Q": lambda c: c,
+              "constant": DeltaRationalFunction.from_rational,
+              "1 + d": lambda c: c * (1 + DELTA),
+              "d + 2d^2": lambda c: c * (DELTA + 2 * DELTA ** 2)}
+    return [(b, shapes[shape](c), n,
+             RATIONAL_FIELD if shape == "Q" else DELTA_FIELD)
+            for b, c, shape, n in draw(st.lists(request, min_size=1,
+                                                max_size=12))]
+
+
+@given(one_var_requests())
+@settings(max_examples=60, deadline=None)
+def test_any_requests_equal_fresh_windows(requests):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mzv, "_one_var_windows", {})
+        mp.setattr(mzv, "_one_var_rows", {})
+        for b, rho, n, ring in requests:
+            window = one_var_series(b, rho, n)
+            assert window.ring is ring
+            assert window == fresh_one_var(b, rho, n, ring), (b, rho, n)
+        assert set(mzv._one_var_windows) == {
+            content_key(b, rho) for b, rho, _, _ in requests}
+
+
+def test_the_memo_keeps_its_bound(monkeypatch):
+    # a sweep over more contents than the bound keeps the memo at or under
+    # it, evicting the oldest entries first, and every window stays exact
+    monkeypatch.setattr(mzv, "_one_var_windows", {})
+    cap = mzv._ONE_VAR_WINDOWS_MAX
+    contents = [F(p, q) for p in range(1, 50) for q in range(1, 50)
+                if math.gcd(p, q) == 1][:cap + 50]
+    assert len(contents) == cap + 50
+    for i, c in enumerate(contents):
+        rho, ring = (c, RATIONAL_FIELD) if i % 2 else \
+            (c * (1 + DELTA), DELTA_FIELD)
+        assert one_var_series(1, rho, 2) == fresh_one_var(1, rho, 2, ring)
+        assert len(mzv._one_var_windows) <= cap
+    assert list(mzv._one_var_windows) == [
+        content_key(1, c) for c in contents[-cap:]]
+    # an evicted content is scaled anew from the row
+    assert one_var_series(1, contents[0], 5) == \
+        fresh_one_var(1, contents[0], 5, RATIONAL_FIELD)
+    assert len(mzv._one_var_windows) == cap
+    assert content_key(1, contents[0]) in mzv._one_var_windows
+    assert content_key(1, contents[-cap]) not in mzv._one_var_windows
+
+
+def test_the_bound_holds_under_threads(monkeypatch):
+    # threads that fill and evict a small memo at once: every window stays
+    # exact, no eviction trips over another, and no thread ever sees more
+    # entries than the bound
+    monkeypatch.setattr(mzv, "_one_var_windows", {})
+    monkeypatch.setattr(mzv, "_ONE_VAR_WINDOWS_MAX", 8)
+    threads_n = 4
+    contents = [F(p, q) for p in range(1, 9) for q in range(1, 9)
+                if math.gcd(p, q) == 1]
+    want = {c: fresh_one_var(1, c, 3, RATIONAL_FIELD) for c in contents}
+    barrier = threading.Barrier(threads_n, timeout=60)
+    wrong, sizes, errors = [], [], []
+
+    def sweep(slot):
+        try:
+            barrier.wait()
+            for _ in range(5):
+                for c in contents[slot:] + contents[:slot]:
+                    if one_var_series(1, c, 3) != want[c]:
+                        wrong.append(c)
+                    sizes.append(len(mzv._one_var_windows))
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep, args=(k,))
+                   for k in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and wrong == []
+    assert len(sizes) == threads_n * 5 * len(contents)
+    assert max(sizes) <= 8
 
 
 class TestExpansionPlans:
