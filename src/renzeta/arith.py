@@ -35,19 +35,12 @@ regularized expansion share, and the integer polynomials of the field run
 on it too.  ``_convolve_rows`` convolves sequences of integer polynomials,
 for the product of the row layout (``laurent``) that the Q(delta) and
 Q[T] series and the expansion share.
-
-``zeta_nonpositive`` memoizes its values in a process-wide ``functools.cache``
-(``cache_info()`` gives size and hits), keyed by k: the series windows ask for
-zeta(-(b + j)) at every slot power b and window index j, so the cache holds at
-most one entry per k up to the largest b + j asked for.  Threads may call it
-at once, at worst computing a value twice; the cached Fractions are immutable.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
 from itertools import zip_longest
 
 __all__ = [
@@ -95,7 +88,6 @@ def bernoulli(n: int) -> Fraction:
     return _egf_cache[n] * math.factorial(n)
 
 
-@cache
 def zeta_nonpositive(k: int) -> Fraction:
     """Riemann zeta at -k for k >= 0, as an exact rational.
 

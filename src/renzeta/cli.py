@@ -23,7 +23,7 @@ from renzeta.mzv import (
     renorm_directional,
     renorm_mzv,
 )
-from renzeta.suites import run_suite
+from renzeta.suites import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -236,9 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("verify", help="run a named identity suite")
-    p.add_argument("--suite", required=True,
-                   choices=("hopf", "rota-baxter", "birkhoff",
-                            "differential", "mzv", "all"))
+    p.add_argument("--suite", required=True, choices=(*SUITES, "all"))
     p.add_argument("--max-weight", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     add_format(p)

@@ -58,35 +58,37 @@ delta = 0 is a genuine pole and raises PoleAtZero exactly where the field
 would, never a removable 0/0 left over from factors kept apart (d and
 d + d^2 share d and are two factors).
 
-One place builds every one-variable window, for the expansion and
-one_var_series alike, straight into this integer layout.  Write rho = c p,
-c = u/v the rational content and p the primitive integer part (p = 1 over
-Q; a delta-direction stores both).  The direction enters W only through
-the product rho eps, so W(b, c)(eps) = W(b, 1)(c eps): the scalar at eps^j
-is c^j times that of the unit window W(b, 1), which is (-1)^(b+1) b! at
-the pole eps^(-b-1) and zeta(-b-j) / j! at eps^j.  One direction-free
-integer row per power b holds W(b, 1) as (den, nums), the pole numerator
-first, over one denominator; a longer request extends it by only the
-scalars it lacks and brings the old numerators over the new lcm.  The
-window at c = u/v through eps^L is that row scaled on integers: the pole
-numerator times v^(b+1+L), the numerator at eps^j times u^(j+b+1) v^(L-j)
-and the denominator times u^(b+1) v^L, and then the integer content is
-divided out by one gcd.  So a new direction costs a few integer multiplies
-per coefficient and builds no Fraction.  Over Q(delta) the numerator at
-eps^j is then multiplied by p^(j+b+1), over the factor p^(b+1).
+One cached function builds every one-variable window, for the expansion
+and one_var_series alike, straight into this integer layout.  Write
+rho = c p, c = u/v the rational content and p the primitive integer part
+(p = 1 over Q; a delta-direction stores both).  The direction enters W only
+through the product rho eps, so W(b, c)(eps) = W(b, 1)(c eps): the scalar
+at eps^j is c^j times that of the unit window W(b, 1), which is
+(-1)^(b+1) b! at the pole eps^(-b-1) and zeta(-b-j) / j! at eps^j.  One
+direction-free integer row per power b holds W(b, 1) as (den, nums), the
+pole numerator first, over one denominator; a longer request extends it by
+only the scalars it lacks and brings the old numerators over the new lcm.
+The window at c = u/v through eps^L is that row scaled on integers: the
+pole numerator times v^(b+1+L), the numerator at eps^j times
+u^(j+b+1) v^(L-j) and the denominator times u^(b+1) v^L, and then the
+integer content is divided out by one gcd, so every window is in lowest
+terms at its own length.  So a new direction costs a few integer
+multiplies per coefficient and builds no Fraction.  Over Q(delta) the
+numerator at eps^j is then multiplied by p^(j+b+1), over the factor
+p^(b+1).
 
-Scaled windows are kept in a process-wide memo keyed by the ints
-(b, u, v): Q and Q(delta) share its entries, as do directions of one
-content (1, 1 + d, 1 + 2d).  An entry is the longest window of its key
-asked for.  A longer request scales the row anew; a shorter one slices the
-numerators over the same den.  The slice is exact but need not be in
-lowest terms; both series layouts divide out the integer content of a new
-window, and a Q(delta) coefficient is reduced when read.  The memo holds
-at most 1024 entries and evicts the oldest first, whatever directions a
-process sees; the rows grow only with the powers and lengths asked for.
-Rows and entries are replaced whole, never changed in place, so concurrent
-callers at worst build one twice; a store and its evictions hold one lock,
-so the bound holds under threads.
+The finished windows are kept in one functools.lru_cache of 1024 entries,
+the bound of laurent._power, keyed by the exact request
+(b, u, v, p, precision) of ints and integer tuples, with p None over Q: no
+Fraction is hashed, and cache_info() gives the hits and misses.  An entry
+is the finished layout: the Q pair of tuples, or a tuple of tuple rows over
+the factor {p: b+1}.  So each ring, and each primitive part of one content
+(1, 1 + d, 1 + 2d), holds entries of its own, and all of them share one
+unit row per power.  Entries are shared by every caller and never changed:
+the layout operations build new lists and copy a factor dict before they
+add to it.  The unit rows are replaced whole, never changed in place, so
+concurrent callers at worst build one twice, and the cache keeps its bound
+under threads.
 
 Renormalized values: the decomposition engine splits the regularized window,
 and the constant term of its pole-free part at a given direction vector is
@@ -121,9 +123,9 @@ delta = 0, need the field.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 
 from renzeta.arith import (
@@ -294,15 +296,6 @@ def one_var_series(power: int, direction,
 # (module docstring)
 _one_var_rows: dict = {}
 
-# (b, u, v) -> (den, nums) of the longest W(b, u/v) asked for, scaled from
-# the unit row and shared by the directions of content u/v in both rings;
-# at most _ONE_VAR_WINDOWS_MAX entries, the oldest evicted first.  Stores
-# and evictions hold the lock, so the bound holds under threads; a read
-# takes no lock
-_one_var_windows: dict = {}
-_ONE_VAR_WINDOWS_MAX = 1024
-_one_var_store = threading.Lock()
-
 
 def _one_var_scalar(b, j) -> Fraction:
     """The scalar of W(b, 1) at eps^j, or at the pole eps^(-b-1) for
@@ -329,10 +322,14 @@ def _unit_row(b, n) -> tuple:
     return den, nums
 
 
-def _scaled_window(b, u, v, precision) -> tuple:
-    """(den, nums) of W(b, u/v) on [-(b+1), precision): the first
-    precision + 1 numerators of the unit row scaled on integers (module
-    docstring), L = precision - 1, the content divided out by one gcd."""
+@lru_cache(maxsize=1024)
+def _one_var_window(b, u, v, p, precision) -> tuple:
+    """The finished layout of W(b, (u/v) p) on [-(b+1), precision), shared
+    by every caller and never changed (module docstring): the first
+    precision + 1 numerators of the unit row scaled on integers,
+    L = precision - 1, and the content divided out by one gcd.  The Q pair
+    of tuples for p None, else the rows, a tuple of tuples, over the
+    factor {p: b+1}."""
     den, nums = _unit_row(b, precision + 1)
     top, *taylor = nums[:precision + 1]
     last = precision - 1
@@ -348,37 +345,13 @@ def _scaled_window(b, u, v, precision) -> tuple:
         scaled.append(n * (f * vs[last - j]) if n else 0)
         f *= u
     g = math.gcd(den, *scaled)
-    return den // g, [x // g for x in scaled]
-
-
-def _one_var_integers(b, rho, precision):
-    """The layout of W(b, rho) on [-(b+1), precision) (module docstring):
-    the first precision + 1 numerators of the memo entry of (b, u, v),
-    c = u/v the content of rho, over its den; the entry is scaled anew
-    from the unit row if it is missing or shorter.  The Q pair for a
-    rational rho = c, else the row layout over the factor {p: b+1} for the
-    pair rho = (c, p)."""
-    c, p = rho if isinstance(rho, tuple) else (rho, None)
-    key = b, c.numerator, c.denominator
-    entry = _one_var_windows.get(key)
-    if entry is None or len(entry[1]) <= precision:
-        entry = _scaled_window(*key, precision)
-        with _one_var_store:
-            if key not in _one_var_windows:
-                while len(_one_var_windows) >= _ONE_VAR_WINDOWS_MAX:
-                    # insertion order: the oldest entry goes first
-                    del _one_var_windows[next(iter(_one_var_windows))]
-            # replaced whole, never mutated: a reader keeps a consistent
-            # entry
-            _one_var_windows[key] = entry
-    den, nums = entry
-    top, *nums = nums[:precision + 1]
+    top, *nums = (x // g for x in scaled)
     if p is None:
-        return [top] + [0] * b + nums, den
-    rows = [[top]] + [[]] * b + [
-        [n * x for x in _power(p, j + b + 1)] if n else []
-        for j, n in enumerate(nums)]
-    return rows, den, {p: b + 1} if len(p) > 1 else {}
+        return (top,) + (0,) * b + tuple(nums), den // g
+    rows = ((top,),) + ((),) * b + tuple(
+        tuple(n * x for x in _power(p, j + b + 1)) if n else ()
+        for j, n in enumerate(nums))
+    return rows, den // g, {p: b + 1} if len(p) > 1 else {}
 
 
 def regularized_expansion(exponents, directions,
@@ -401,14 +374,18 @@ def _expansion(ring, word, precision: int) -> TruncatedLaurentSeries:
     product."""
     add, mul = ring._sum, ring._product
     ms, rho = _slots(word, ring)
+    if ring is RATIONAL_FIELD:
+        rho = [(c, None) for c in rho]
+    # each rho_l = (u/v) p as the ints (u, v, p) of its windows' keys
+    rho = [(c.numerator, c.denominator, p) for c, p in rho]
     k = len(ms)
     length = precision + sum(ms) + k
     tops = tuple(accumulate(ms))
     # level maps each carried exponent e of the current slot to F(slot, e)
-    level = {e: _one_var_integers(e, rho[-1], length - (e + 1))
+    level = {e: _one_var_window(e, *rho[-1], length - (e + 1))
              for e in range(ms[-1], tops[-1] + 1)}
     for slot in range(k - 2, -1, -1):
-        windows = [_one_var_integers(a, rho[slot], length - (a + 1))
+        windows = [_one_var_window(a, *rho[slot], length - (a + 1))
                    for a in range(tops[slot] + 1)]
         inner, level = level, {}
         for e in range(ms[slot], tops[slot] + 1):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from renzeta.arith import PoleAtZero
 from renzeta.birkhoff import CheckReport
 from renzeta.laurent import InsufficientPrecision
+from renzeta.suites import SUITES
 from renzeta import cli, mzv
 
 EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
@@ -467,6 +468,13 @@ def test_usage_errors(capsys):
     rc, _, err = run(capsys, ["directional", "--s=0,0", "--r=1"])
     assert (rc, err) == (
         cli.EXIT_USAGE, "error: 2 exponents against 1 directions\n")
+
+
+def test_every_suite_name_parses():
+    # verify --suite takes its choices from the one table of suites
+    for name in (*SUITES, "all"):
+        args = cli.build_parser().parse_args(["verify", "--suite", name])
+        assert args.suite == name
 
 
 def test_approx_beyond_float_range(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """End-to-end values: windows, renormalized values, and consistency checks."""
 
+import copy
 import math
 import sys
 import threading
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renzeta import arith, mzv
+from renzeta import arith, cli, mzv
 from renzeta.arith import (
     DELTA,
     DeltaRationalFunction,
@@ -218,18 +219,38 @@ def fresh_one_var(b, rho, precision, ring):
     return series_from_terms(ring, terms, precision)
 
 
-def content_key(b, rho):
-    """The memo key of W(b, rho): the power and the content u/v of rho as
-    two ints."""
-    c = rho._c if isinstance(rho, DeltaRationalFunction) else rho
-    return b, c.numerator, c.denominator
+# the one cache of finished one-variable windows
+WINDOWS = mzv._one_var_window
+
+
+def spy_on_windows(monkeypatch):
+    """An empty window cache and no unit rows; returns the list that gets
+    the (key, layout) of every window asked for from here on."""
+    WINDOWS.cache_clear()
+    monkeypatch.setattr(mzv, "_one_var_rows", {})
+    asked = []
+
+    def spy(*key):
+        layout = WINDOWS(*key)
+        asked.append((key, layout))
+        return layout
+
+    monkeypatch.setattr(mzv, "_one_var_window", spy)
+    return asked
+
+
+def integers_of(layout):
+    """The integer denominator and every numerator of a window layout."""
+    first, den = layout[:2]
+    if first and isinstance(first[0], tuple):
+        return den, [x for row in first for x in row]
+    return den, list(first)
 
 
 class TestOneVarMemo:
     @pytest.fixture(autouse=True)
-    def empty_memo(self, monkeypatch):
-        monkeypatch.setattr(mzv, "_one_var_windows", {})
-        monkeypatch.setattr(mzv, "_one_var_rows", {})
+    def asked(self, monkeypatch):
+        return spy_on_windows(monkeypatch)
 
     @pytest.mark.parametrize("rho, ring", [
         (F(2, 3), RATIONAL_FIELD), (1 + DELTA, DELTA_FIELD),
@@ -240,50 +261,56 @@ class TestOneVarMemo:
         (1 + DELTA ** 2 / 3, DELTA_FIELD),
         (DeltaRationalFunction.from_rational(F(2)), DELTA_FIELD),
         (1 + 2 * DELTA, DELTA_FIELD)])
-    def test_any_request_order_equals_fresh_windows(self, rho, ring):
-        # short then long rebuilds the entry, long then short slices it
+    def test_any_request_order_equals_fresh_windows(self, rho, ring, asked):
+        # every request is its own entry, whatever was asked before
         for b in range(4):
             for order in ((2, 9), (9, 2), (1, 5, 3, 8), (4, 5)):
-                mzv._one_var_windows.clear()
+                WINDOWS.cache_clear()
+                asked.clear()
                 for n in order:
                     assert one_var_series(b, rho, n) == \
                         fresh_one_var(b, rho, n, ring), (b, order, n)
-                # one entry per (b, content), keyed by ints: an integer
-                # denominator over the pole numerator and the Taylor
-                # numerators of the longest ask
-                ((key, entry),) = mzv._one_var_windows.items()
-                assert key == content_key(b, rho)
-                assert all(type(x) is int for x in key)
-                den, nums = entry
-                assert isinstance(den, int) and den > 0
-                assert len(nums) == max(order) + 1
-                # the content is divided out of every built entry
-                assert math.gcd(den, *nums) == 1
+                assert WINDOWS.cache_info().currsize == len(order)
+                for n, (key, layout) in zip(order, asked):
+                    # keyed by ints and an integer tuple, never a Fraction
+                    pb, u, v, p, precision = key
+                    assert (pb, precision) == (b, n)
+                    assert all(type(x) is int for x in (pb, u, v, precision))
+                    assert (p is None) == (ring is RATIONAL_FIELD)
+                    assert p is None or all(type(x) is int for x in p)
+                    # a finished layout of tuples on [-(b+1), n), in lowest
+                    # terms at its own length
+                    assert type(layout[0]) is tuple
+                    assert len(layout[0]) == b + 1 + n
+                    den, nums = integers_of(layout)
+                    assert isinstance(den, int) and den > 0
+                    assert math.gcd(den, *nums) == 1
+                    assert WINDOWS(*key) is layout
 
-    def test_directions_of_one_content_share_an_entry(self):
-        # 1 + d, 1 + 2d and 1 all have content 1: one memo entry, yet each
-        # keeps its own ring and window
+    def test_directions_of_one_content_share_one_unit_row(self):
+        # 1 + d, 1 + 2d and 1 all have content 1: an entry each, in its
+        # own ring, all scaled from one unit row
         cases = ((1 + DELTA, DELTA_FIELD), (1 + 2 * DELTA, DELTA_FIELD),
                  (F(1), RATIONAL_FIELD))
         for rho, ring in cases:
             window = one_var_series(2, rho, 4)
             assert window.ring is ring
             assert window == fresh_one_var(2, rho, 4, ring), rho
-        assert list(mzv._one_var_windows) == [(2, 1, 1)]
-        # one unit row per power serves every content
+        assert WINDOWS.cache_info().currsize == 3
         assert list(mzv._one_var_rows) == [2]
 
     def test_constant_delta_direction_gets_a_delta_window(self):
         const = DeltaRationalFunction.from_rational(F(2))
         assert const == F(2) and hash(const) == hash(F(2))
         for first, second in ((F(2), const), (const, F(2))):
-            mzv._one_var_windows.clear()
+            WINDOWS.cache_clear()
             one_var_series(1, first, 3)
             for r, ring in ((F(2), RATIONAL_FIELD), (const, DELTA_FIELD)):
                 assert one_var_series(1, r, 5) == \
                     fresh_one_var(1, r, 5, ring)
-            # Q and Q(delta) share the scalars of (b, content)
-            assert len(mzv._one_var_windows) == 1
+            # an entry per ring and length, one unit row for both rings
+            assert WINDOWS.cache_info().currsize == 3
+            assert list(mzv._one_var_rows) == [1]
         assert regularized_expansion((0, -1), (F(1), const), 2).ring \
             is DELTA_FIELD
 
@@ -297,26 +324,24 @@ class TestOneVarMemo:
                       2 * DELTA + 2 * DELTA ** 2)),
         ((-1, 0), (F(1, 2), DELTA))])
     def test_windows_sliced_from_longer_entries_equal_cold_ones(self, s, r):
-        # a slice keeps the longer entry's denominator, which the roots
-        # reduce away: the expansion equals the one from a cold memo
+        # an expansion from cached windows, with longer ones of the same
+        # contents cached too, gives the cold cache's bytes
         for precision in (1, 3):
-            mzv._one_var_windows.clear()
+            WINDOWS.cache_clear()
             cold = regularized_expansion(s, r, precision)
-            mzv._one_var_windows.clear()
             regularized_expansion(s, r, precision + 6)
-            primed = dict(mzv._one_var_windows)
-            sliced = regularized_expansion(s, r, precision)
-            # every window was a slice of a primed entry, none rebuilt
-            assert mzv._one_var_windows.keys() == primed.keys()
-            assert all(mzv._one_var_windows[k] is v
-                       for k, v in primed.items())
-            assert sliced == cold and str(sliced) == str(cold), precision
+            misses = WINDOWS.cache_info().misses
+            primed = regularized_expansion(s, r, precision)
+            # every window was a hit
+            assert WINDOWS.cache_info().misses == misses
+            assert primed == cold and str(primed) == str(cold), precision
+            assert primed._layout == cold._layout
 
 
 def counted_scalars(monkeypatch):
-    """The j of every scalar of a unit row built from here on, from empty
-    memos."""
-    monkeypatch.setattr(mzv, "_one_var_windows", {})
+    """The j of every scalar of a unit row built from here on, from an
+    empty cache and no unit rows."""
+    WINDOWS.cache_clear()
     monkeypatch.setattr(mzv, "_one_var_rows", {})
     built = []
     scalar = mzv._one_var_scalar
@@ -355,7 +380,7 @@ def test_a_new_content_builds_no_scalar(monkeypatch):
             window = one_var_series(3, rho, n)
             assert window == fresh_one_var(3, rho, n, ring), (rho, n)
     assert built == [] and fractions == []
-    assert len(mzv._one_var_windows) == 5
+    assert WINDOWS.cache_info().currsize == 9
     assert list(mzv._one_var_rows) == [3]
 
 
@@ -385,48 +410,57 @@ def one_var_requests(draw):
 @settings(max_examples=60, deadline=None)
 def test_any_requests_equal_fresh_windows(requests):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mzv, "_one_var_windows", {})
         mp.setattr(mzv, "_one_var_rows", {})
+        WINDOWS.cache_clear()
         for b, rho, n, ring in requests:
             window = one_var_series(b, rho, n)
             assert window.ring is ring
             assert window == fresh_one_var(b, rho, n, ring), (b, rho, n)
-        assert set(mzv._one_var_windows) == {
-            content_key(b, rho) for b, rho, _, _ in requests}
+        # one entry per distinct request: its power, direction, ring and
+        # length
+        distinct = {(b, rho, ring, n) for b, rho, n, ring in requests}
+        info = WINDOWS.cache_info()
+        assert info.currsize == info.misses == len(distinct)
+        assert info.hits == len(requests) - len(distinct)
 
 
-def test_the_memo_keeps_its_bound(monkeypatch):
-    # a sweep over more contents than the bound keeps the memo at or under
-    # it, evicting the oldest entries first, and every window stays exact
-    monkeypatch.setattr(mzv, "_one_var_windows", {})
-    cap = mzv._ONE_VAR_WINDOWS_MAX
+def rational_contents(count):
+    """The first count positive rationals p/q in lowest terms, p, q < 50."""
     contents = [F(p, q) for p in range(1, 50) for q in range(1, 50)
-                if math.gcd(p, q) == 1][:cap + 50]
-    assert len(contents) == cap + 50
+                if math.gcd(p, q) == 1][:count]
+    assert len(contents) == count
+    return contents
+
+
+def test_the_memo_keeps_its_bound():
+    # a sweep over more contents than the bound keeps the cache at or under
+    # it, and every window stays exact
+    WINDOWS.cache_clear()
+    cap = WINDOWS.cache_info().maxsize
+    assert cap == 1024
+    contents = rational_contents(cap + 50)
     for i, c in enumerate(contents):
         rho, ring = (c, RATIONAL_FIELD) if i % 2 else \
             (c * (1 + DELTA), DELTA_FIELD)
         assert one_var_series(1, rho, 2) == fresh_one_var(1, rho, 2, ring)
-        assert len(mzv._one_var_windows) <= cap
-    assert list(mzv._one_var_windows) == [
-        content_key(1, c) for c in contents[-cap:]]
-    # an evicted content is scaled anew from the row
-    assert one_var_series(1, contents[0], 5) == \
-        fresh_one_var(1, contents[0], 5, RATIONAL_FIELD)
-    assert len(mzv._one_var_windows) == cap
-    assert content_key(1, contents[0]) in mzv._one_var_windows
-    assert content_key(1, contents[-cap]) not in mzv._one_var_windows
+        assert WINDOWS.cache_info().currsize <= cap
+    assert WINDOWS.cache_info().currsize == cap
+    # the least recently used went first: the first content is built anew
+    # from the row, and exact
+    misses = WINDOWS.cache_info().misses
+    rho = contents[0] * (1 + DELTA)
+    assert one_var_series(1, rho, 2) == fresh_one_var(1, rho, 2, DELTA_FIELD)
+    assert WINDOWS.cache_info().misses == misses + 1
+    assert WINDOWS.cache_info().currsize == cap
 
 
-def test_the_bound_holds_under_threads(monkeypatch):
-    # threads that fill and evict a small memo at once: every window stays
-    # exact, no eviction trips over another, and no thread ever sees more
-    # entries than the bound
-    monkeypatch.setattr(mzv, "_one_var_windows", {})
-    monkeypatch.setattr(mzv, "_ONE_VAR_WINDOWS_MAX", 8)
+def test_the_bound_holds_under_threads():
+    # threads that fill and evict the cache at once: every window stays
+    # exact, and no thread ever sees more entries than the bound
+    WINDOWS.cache_clear()
+    cap = WINDOWS.cache_info().maxsize
     threads_n = 4
-    contents = [F(p, q) for p in range(1, 9) for q in range(1, 9)
-                if math.gcd(p, q) == 1]
+    contents = rational_contents(cap + 100)
     want = {c: fresh_one_var(1, c, 3, RATIONAL_FIELD) for c in contents}
     barrier = threading.Barrier(threads_n, timeout=60)
     wrong, sizes, errors = [], [], []
@@ -434,11 +468,11 @@ def test_the_bound_holds_under_threads(monkeypatch):
     def sweep(slot):
         try:
             barrier.wait()
-            for _ in range(5):
-                for c in contents[slot:] + contents[:slot]:
-                    if one_var_series(1, c, 3) != want[c]:
-                        wrong.append(c)
-                    sizes.append(len(mzv._one_var_windows))
+            shift = slot * len(contents) // threads_n
+            for c in contents[shift:] + contents[:shift]:
+                if one_var_series(1, c, 3) != want[c]:
+                    wrong.append(c)
+                sizes.append(WINDOWS.cache_info().currsize)
         except Exception as exc:  # reported below, not lost in the thread
             errors.append(exc)
 
@@ -455,8 +489,41 @@ def test_the_bound_holds_under_threads(monkeypatch):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == [] and wrong == []
-    assert len(sizes) == threads_n * 5 * len(contents)
-    assert max(sizes) <= 8
+    assert len(sizes) == threads_n * len(contents)
+    assert max(sizes) <= cap
+
+
+def test_cached_layouts_are_shared_and_never_changed(monkeypatch, capsys):
+    # the expansion, the renormalized value and the CLI read the cached
+    # layouts themselves: none of them may change one
+    runs = (
+        lambda: regularized_expansion((0, -1, 0),
+                                      (F(1, 2), 1 + DELTA, F(3)), 3),
+        lambda: regularized_expansion((-1, 0), (F(1, 2), F(3)), 3),
+        lambda: regularized_expansion((-2,), (F(5, 3),), 4),
+        lambda: renorm_mzv((0, -1)),
+        lambda: cli.main(["series", "--s=0,-1", "--r=1/2,3"]),
+        lambda: cli.main(["series", "--s=0,-1,0", "--r=1/2,1+d,3"]),
+    )
+    asked = spy_on_windows(monkeypatch)
+    for run in runs:
+        run()
+    keys = {key for key, _ in asked}
+    # fetched fresh, before any consumer sees them
+    WINDOWS.cache_clear()
+    entries = {key: WINDOWS(*key) for key in keys}
+    assert any(key[3] is None for key in keys)
+    assert any(layout[2] for layout in entries.values() if len(layout) == 3)
+    copies = copy.deepcopy(entries)
+    for _ in range(2):
+        for run in runs:
+            run()
+    capsys.readouterr()
+    # every window the runs asked for was one of the fetched entries
+    assert WINDOWS.cache_info().misses == len(keys)
+    for key, layout in entries.items():
+        assert layout == copies[key], key
+        assert WINDOWS(*key) is layout, key
 
 
 class TestExpansionPlans:
@@ -627,7 +694,7 @@ class TestRegularizedExpansion:
         # runs, and the root reduces through the constructor
         s, r = (-2, 0, -1, 0), (1 + DELTA, 2 * DELTA, F(1, 3) + DELTA, DELTA)
         want = regularized_expansion(s, r, 3)
-        monkeypatch.setattr(mzv, "_one_var_windows", {})
+        WINDOWS.cache_clear()
         calls = []
         for name in ("__add__", "__radd__", "__neg__", "__sub__",
                      "__rsub__", "__mul__", "__rmul__", "__truediv__",
