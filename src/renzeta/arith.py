@@ -35,12 +35,18 @@ regularized expansion share, and the integer polynomials of the field run
 on it too.  ``_convolve_rows`` convolves sequences of integer polynomials,
 for the product of the row layout (``laurent``) that the Q(delta) and
 Q[T] series and the expansion share.
+
+``_coerced`` is the operator prologue of the field and of the
+T-polynomials (``laurent``): the other operand coerced through the class's
+``_coerce``, or NotImplemented.  ``_check_count`` is the package's one
+check of a count, refusing a bool, a non-int or an int below its bound.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import wraps
 from itertools import zip_longest
 
 __all__ = [
@@ -59,6 +65,27 @@ class PoleAtZero(ArithmeticError):
     """Raised when a rational function in delta has no finite value at 0."""
 
 
+def _check_count(what, value, least):
+    """Refuse a bool, a non-int or an int below least; least None admits
+    every int."""
+    if not isinstance(value, int) or isinstance(value, bool) \
+            or least is not None and value < least:
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{what} must be an integer{bound}, not {value!r}")
+
+
+def _coerced(op):
+    """The binary operator op with its other operand coerced through the
+    class's ``_coerce``, or NotImplemented when that fails."""
+    @wraps(op)
+    def coerced(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return op(self, o)
+    return coerced
+
+
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and zeta values at non-positive integers.
 
@@ -72,8 +99,7 @@ def bernoulli(n: int) -> Fraction:
     eps/(exp(eps) - 1): with d_j = 1/(j+1)! the quotient coefficients q_k
     satisfy q_0 = 1 and q_k = -sum_{j=1..k} d_j q_{k-j}, and B_k = k! q_k.
     """
-    if n < 0:
-        raise ValueError("bernoulli index must be >= 0")
+    _check_count("bernoulli index", n, 0)
     if n not in _egf_cache:
         known = max(_egf_cache)
         q = [_egf_cache[k] for k in range(known + 1)]
@@ -94,8 +120,7 @@ def zeta_nonpositive(k: int) -> Fraction:
     zeta(-k) = (-1)^k B_{k+1} / (k+1); in particular zeta(0) = -1/2 and
     zeta(-2m) = 0 for m >= 1.
     """
-    if k < 0:
-        raise ValueError("zeta_nonpositive takes k >= 0 for the point -k")
+    _check_count("zeta_nonpositive k", k, 0)
     return (-1) ** k * bernoulli(k + 1) / (k + 1)
 
 
@@ -430,10 +455,8 @@ class DeltaRationalFunction:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __add__(self, o):
         na, da = self._c.as_integer_ratio()
         nb, db = o._c.as_integer_ratio()
         return DeltaRationalFunction._of_integers(
@@ -446,22 +469,16 @@ class DeltaRationalFunction:
     def __neg__(self):
         return DeltaRationalFunction._new(-self._c, self._p, self._q)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __sub__(self, o):
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __rsub__(self, o):
         return o + (-self)
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __mul__(self, o):
         na, da = self._c.as_integer_ratio()
         nb, db = o._c.as_integer_ratio()
         return DeltaRationalFunction._of_integers(
@@ -475,16 +492,12 @@ class DeltaRationalFunction:
             raise ZeroDivisionError("division by the zero rational function")
         return DeltaRationalFunction._new(1 / self._c, self._q, self._p)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __truediv__(self, o):
         return self * o._inverse()
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __rtruediv__(self, o):
         return o / self
 
     def __pow__(self, exponent: int):
@@ -496,10 +509,8 @@ class DeltaRationalFunction:
             out = out * base
         return out
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __eq__(self, o):
         return self._c == o._c and self._p == o._p and self._q == o._q
 
     def __hash__(self):

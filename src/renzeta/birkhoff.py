@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from renzeta.arith import _check_count
 from renzeta.hopf import (
     EMPTY_WORD,
     HopfElement,
@@ -80,10 +81,8 @@ class PrecisionBudget:
     max_pole_depth: int
 
     def __post_init__(self):
-        if self.requested_precision < 1:
-            raise ValueError("requested precision must be >= 1")
-        if self.max_pole_depth < 0:
-            raise ValueError("pole depth budget must be >= 0")
+        _check_count("requested precision", self.requested_precision, 1)
+        _check_count("pole depth budget", self.max_pole_depth, 0)
         if self.requested_precision <= self.max_pole_depth:
             raise ValueError(
                 "exact constant terms need precision > pole depth budget")

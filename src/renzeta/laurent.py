@@ -65,6 +65,8 @@ from itertools import chain
 
 from renzeta.arith import (
     DeltaRationalFunction,
+    _check_count,
+    _coerced,
     _convolve_integers,
     _convolve_rows,
     _over_common_denominator,
@@ -116,7 +118,7 @@ class InsufficientPrecision(PrecisionError):
 # takes windows on one exponent range; the product keeps the first n
 # coefficients.
 
-def _q_sum(a, b, k=1) -> tuple:
+def _q_sum(a, b, k) -> tuple:
     """a + k b for an integer k, over the least common denominator,
     through one gcd."""
     nums_a, den_a = a
@@ -162,7 +164,7 @@ def _lifted(rows, factors, target) -> list:
     return [_poly_times(r, lift) for r in rows]
 
 
-def _factored_sum(a, b, k=1) -> tuple:
+def _factored_sum(a, b, k) -> tuple:
     """a + k b for an integer k: both lifted to the larger exponent of
     each factor, the integer denominators combined through one gcd."""
     rows_a, den_a, fac_a = a
@@ -336,10 +338,8 @@ class TPolynomial:
     def derivative(self) -> "TPolynomial":
         return TPolynomial(poly_derivative(self.coeffs))
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __add__(self, o):
         return TPolynomial(poly_add(self.coeffs, o.coeffs))
 
     __radd__ = __add__
@@ -347,30 +347,22 @@ class TPolynomial:
     def __neg__(self):
         return TPolynomial(poly_neg(self.coeffs))
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __sub__(self, o):
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __rsub__(self, o):
         return o + (-self)
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __mul__(self, o):
         return TPolynomial(poly_mul(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __eq__(self, o):
         return self.coeffs == o.coeffs
 
     def __hash__(self):
@@ -450,6 +442,7 @@ class TruncatedLaurentSeries:
 
     def __init__(self, ring, min_order: int, coeffs):
         # coerce: the public constructor also takes ints
+        _check_count("min_order", min_order, None)
         cs = tuple(ring.coerce(c) for c in coeffs)
         if not cs:
             raise ValueError("series window must contain at least one slot")
@@ -692,6 +685,7 @@ class TruncatedLaurentSeries:
 
 def zero_series(ring, precision: int) -> TruncatedLaurentSeries:
     """The zero value known modulo eps^precision."""
+    _check_count("precision", precision, None)
     return TruncatedLaurentSeries(ring, precision - 1, [ring.zero])
 
 
@@ -700,14 +694,14 @@ def one_series(ring, precision: int) -> TruncatedLaurentSeries:
 
 
 def scalar_series(ring, value, precision: int) -> TruncatedLaurentSeries:
-    if precision < 1:
-        raise ValueError("a scalar needs the window to include eps^0")
+    _check_count("precision", precision, 1)
     vals = [ring.coerce(value)] + [ring.zero] * (precision - 1)
     return TruncatedLaurentSeries(ring, 0, vals)
 
 
 def series_from_terms(ring, terms, precision: int) -> TruncatedLaurentSeries:
     """Series from an {exponent: coefficient} mapping, zero elsewhere."""
+    _check_count("precision", precision, None)
     if terms:
         lo = min(terms)
         if lo >= precision:

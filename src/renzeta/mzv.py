@@ -95,11 +95,11 @@ and the constant term of its pole-free part at a given direction vector is
 the directional renormalized value.  The direction-free value at s takes
 directions |s_i| + delta, lands in Q(delta), and evaluates at delta = 0;
 when the canonical form still has a pole there, PoleAtZero propagates.
-An argument is validated once, by argument_word; the character expands
-the words of a validated argument through the private recursion entry
-_expansion, and only the public regularized_expansion and
-expansion_plans validate their input (one_var_series through
-regularized_expansion).
+An argument is validated once, by argument_word, and a count by
+``arith._check_count``; the character expands the words of a validated
+argument through the private recursion entry _expansion, and only the
+public regularized_expansion and expansion_plans validate their input
+(one_var_series through regularized_expansion).
 
 The character sizes each word to what the decomposition reads (birkhoff
 module docstring): with budget B, a word of pole depth M is expanded at
@@ -130,6 +130,7 @@ from itertools import accumulate
 
 from renzeta.arith import (
     DeltaRationalFunction,
+    _check_count,
     _over_common_denominator,
     _primitive,
     _row_sum,
@@ -147,6 +148,7 @@ from renzeta.laurent import (
     RATIONAL_FIELD,
     TruncatedLaurentSeries,
     _power,
+    _q_normal,
 )
 
 __all__ = [
@@ -182,14 +184,6 @@ def argument_word(exponents, directions) -> Word:
             raise ValueError(
                 f"exponent {x} is not a non-positive integer")
     return Word(Letter(x, rx) for x, rx in zip(s, r))
-
-
-def _check_count(what, value, least):
-    """Refuse a bool, a non-int or an int below least, as argument_word
-    refuses an exponent."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        raise ValueError(
-            f"{what} must be an integer >= {least}, not {value!r}")
 
 
 def _ring_for(word):
@@ -327,9 +321,9 @@ def _one_var_window(b, u, v, p, precision) -> tuple:
     """The finished layout of W(b, (u/v) p) on [-(b+1), precision), shared
     by every caller and never changed (module docstring): the first
     precision + 1 numerators of the unit row scaled on integers,
-    L = precision - 1, and the content divided out by one gcd.  The Q pair
-    of tuples for p None, else the rows, a tuple of tuples, over the
-    factor {p: b+1}."""
+    L = precision - 1, padded with the b zeros below the pole and brought
+    to the Q normal form.  That Q pair for p None, else the rows, a tuple
+    of tuples, over the factor {p: b+1}: numerator i times p^i."""
     den, nums = _unit_row(b, precision + 1)
     top, *taylor = nums[:precision + 1]
     last = precision - 1
@@ -339,19 +333,18 @@ def _one_var_window(b, u, v, p, precision) -> tuple:
     # f = u^(j+b+1) at eps^j
     f = u ** (b + 1)
     den *= f * vs[last]
-    scaled = [top * vs[-1]]
+    scaled = [top * vs[-1]] + [0] * b
     for j, n in enumerate(taylor):
         # zeta vanishes at the negative even integers
         scaled.append(n * (f * vs[last - j]) if n else 0)
         f *= u
-    g = math.gcd(den, *scaled)
-    top, *nums = (x // g for x in scaled)
+    nums, den = _q_normal(scaled, den)
     if p is None:
-        return (top,) + (0,) * b + tuple(nums), den // g
-    rows = ((top,),) + ((),) * b + tuple(
-        tuple(n * x for x in _power(p, j + b + 1)) if n else ()
-        for j, n in enumerate(nums))
-    return rows, den // g, {p: b + 1} if len(p) > 1 else {}
+        return nums, den
+    # the numerator at eps^(i-b-1) over p^(b+1) carries p^i
+    rows = tuple(tuple(n * x for x in _power(p, i)) if n else ()
+                 for i, n in enumerate(nums))
+    return rows, den, {p: b + 1} if len(p) > 1 else {}
 
 
 def regularized_expansion(exponents, directions,
@@ -408,6 +401,7 @@ def expansion_character(ring, taylor_order: int,
     budget keeps taylor_order + 1 exact Taylor coefficients after
     decomposition: a word of pole depth M is expanded to
     O(eps^(B - M)), B the budget's precision (module docstring)."""
+    _check_count("taylor order", taylor_order, 0)
     budget = PrecisionBudget(
         requested_precision=taylor_order + 1 + max_pole_depth,
         max_pole_depth=max_pole_depth,
@@ -537,24 +531,25 @@ def two_var_an_check(n: int, r1, r2) -> CheckReport:
 # ---------------------------------------------------------------------------
 # Floating-point cross-check.
 
-def _float_directions(word) -> list:
-    """A word's rational directions as floats, for the float oracles."""
+def _oracle_argument(exponents, directions, eps0, terms) -> tuple:
+    """The validated word of a float oracle's argument and its directions
+    as floats, checked in this order: the word, eps, terms, and then that
+    every direction is rational."""
+    word = argument_word(exponents, directions)
+    if not eps0 < 0:
+        raise ValueError("float oracles need eps < 0")
+    _check_count("terms", terms, 1)
     if not all(isinstance(l.r, Fraction) for l in word):
         raise TypeError("numeric oracle needs rational directions")
-    return [float(l.r) for l in word]
+    return word, [float(l.r) for l in word]
 
 
 def numeric_oracle(exponents, directions, eps0: float,
                    terms: int) -> float:
     """Partial nested sum at a concrete negative eps, summed by layered
     prefix accumulation so depth costs only a factor, not a power."""
-    word = argument_word(exponents, directions)
-    if not eps0 < 0:
-        raise ValueError("numeric evaluation needs eps < 0")
-    if terms < 1:
-        raise ValueError("need at least one term")
+    word, rs = _oracle_argument(exponents, directions, eps0, terms)
     ms = [-l.s for l in word]
-    rs = _float_directions(word)
 
     def layer(m, r):
         return [n ** m * math.exp(n * r * eps0)
@@ -586,11 +581,9 @@ def oracle_tail_bound(exponents, directions, eps0: float,
     the peak value (a/lam)^a exp(-a).  No term is summed one by one; a
     bound beyond the float range is inf.
     """
-    word = argument_word(exponents, directions)
-    if not eps0 < 0:
-        raise ValueError("tail bounds need eps < 0")
+    word, rs = _oracle_argument(exponents, directions, eps0, terms)
     a = sum(-l.s for l in word) + len(word) - 1
-    lam = -_float_directions(word)[0] * eps0
+    lam = -rs[0] * eps0
     try:
         n0 = max(terms + 1, math.ceil(2 * a / lam))
         one_minus_rho = -math.expm1(a * math.log1p(1 / n0) - lam)

@@ -1,5 +1,8 @@
 """The public names of the package and of each layer: consolidation must
-keep them exactly."""
+keep them exactly, with the way they refuse a malformed count and the
+way the scalar types coerce a rational."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -67,3 +70,64 @@ def test_layer_all_is_pinned(module):
     assert sorted(module.__all__) == LAYER_ALL[module]
     assert len(set(module.__all__)) == len(module.__all__)
     assert all(hasattr(module, name) for name in module.__all__)
+
+
+Q = laurent.RATIONAL_FIELD
+
+# every public count and exponent: the name its message gives, the least
+# value it takes (None for any int) and a call that passes it on
+COUNTS = [
+    ("bernoulli index", 0, arith.bernoulli),
+    ("zeta_nonpositive k", 0, arith.zeta_nonpositive),
+    ("min_order", None,
+     lambda n: laurent.TruncatedLaurentSeries(Q, n, [1])),
+    ("precision", None, lambda n: laurent.zero_series(Q, n)),
+    ("precision", 1, lambda n: laurent.one_series(Q, n)),
+    ("precision", 1, lambda n: laurent.scalar_series(Q, 2, n)),
+    ("precision", None, lambda n: laurent.series_from_terms(Q, {}, n)),
+    ("requested precision", 1, lambda n: birkhoff.PrecisionBudget(n, 0)),
+    ("pole depth budget", 0, lambda n: birkhoff.PrecisionBudget(3, n)),
+    ("slot power", 0, lambda n: mzv.one_var_series(n, 1, 2)),
+    ("precision", 1, lambda n: mzv.one_var_series(0, 1, n)),
+    ("precision", 1, lambda n: mzv.regularized_expansion((0,), (1,), n)),
+    ("taylor order", 0, lambda n: mzv.expansion_character(Q, n, 1)),
+    ("taylor order", 0, lambda n: mzv.decomposition_session(n, 1)),
+    ("taylor order", 0,
+     lambda n: mzv.renormalized_series((0,), (1,), n)),
+    ("terms", 1, lambda n: mzv.numeric_oracle((0,), (1,), -0.1, n)),
+    ("terms", 1, lambda n: mzv.oracle_tail_bound((0,), (1,), -0.1, n)),
+]
+
+
+@pytest.mark.parametrize("what, call, value", [
+    pytest.param(what, call, value, id=f"{row}-{what}-{value!r}")
+    for row, (what, least, call) in enumerate(COUNTS)
+    for value in (True, 2.5) + (() if least is None else (least - 1,))
+] + [
+    pytest.param("exponent", lambda x: mzv.argument_word((x,), (1,)), x,
+                 id=f"exponent-{x!r}")
+    for x in (True, -1.0, 1)
+])
+def test_malformed_count_names_its_parameter(what, call, value):
+    with pytest.raises(ValueError, match=what):
+        call(value)
+
+
+@pytest.mark.parametrize("x", [arith.DELTA, laurent.T], ids=["DELTA", "T"])
+@pytest.mark.parametrize("c", [3, Fraction(-2, 5)], ids=["int", "Fraction"])
+def test_scalars_coerce_a_rational_on_either_side(x, c):
+    k = x - x + c
+    assert type(k) is type(x) and k == c and c == k and k != c + 1
+    assert x + c == x + k and c + x == k + x and (x + c) - x == k
+    assert x - c == x - k and c - x == k - x and (c - x) + x == k
+    assert x * c == x * k and c * x == k * x
+    if x is arith.DELTA:
+        assert x / c == x / k and c / x == k / x and (c / x) * x == k
+
+
+def test_scalar_types_do_not_mix():
+    delta, t = arith.DELTA, laurent.T
+    for op in (lambda: t + delta, lambda: delta - t, lambda: t * delta):
+        with pytest.raises(TypeError):
+            op()
+    assert t != delta
