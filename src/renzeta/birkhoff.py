@@ -36,7 +36,7 @@ its constant term is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from renzeta.arith import _check_count
 from renzeta.hopf import (
@@ -66,26 +66,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PrecisionBudget:
+class PrecisionBudget(namedtuple(
+        "PrecisionBudget", "requested_precision max_pole_depth")):
     """How much window every character value carries, and for whom.
 
     requested_precision is B: a word of pole depth M has its value, its
     counterterm and its renormalized part known below eps^(B - M) (module
     docstring).  max_pole_depth is the deepest word the budget is sized
     for, so that renormalized parts keep B - max_pole_depth > 0 known
-    Taylor coefficients.
+    Taylor coefficients.  Construction refuses a malformed count and
+    B <= max_pole_depth; ``_replace`` and ``_make`` skip those checks.
     """
 
-    requested_precision: int
-    max_pole_depth: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_count("requested precision", self.requested_precision, 1)
-        _check_count("pole depth budget", self.max_pole_depth, 0)
-        if self.requested_precision <= self.max_pole_depth:
+    def __new__(cls, requested_precision, max_pole_depth):
+        _check_count("requested precision", requested_precision, 1)
+        _check_count("pole depth budget", max_pole_depth, 0)
+        if requested_precision <= max_pole_depth:
             raise ValueError(
                 "exact constant terms need precision > pole depth budget")
+        return super().__new__(cls, requested_precision, max_pole_depth)
 
 
 def _linear_extension(character, word_map,
@@ -213,15 +214,14 @@ def zplus_length2_direct(character: Character,
     return inner.finite_part()
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """One verified identity: what was compared and whether it held."""
+class CheckReport(namedtuple("CheckReport", "word check passed lhs rhs")):
+    """One verified identity: what was compared and whether it held.
 
-    word: str
-    check: str
-    passed: bool
-    lhs: str
-    rhs: str
+    passed is a bool; word, check and the printed sides lhs and rhs are
+    strings.
+    """
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

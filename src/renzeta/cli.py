@@ -8,7 +8,6 @@ direction limit, 3 precision failure, 4 verification failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -87,6 +86,8 @@ def _resolve_precision(args) -> int:
 
 
 def _print_json(obj) -> None:
+    # imported here so that text output never loads json
+    import json
     print(json.dumps(obj, sort_keys=True))
 
 
@@ -191,6 +192,7 @@ def cmd_table(args) -> int:
             label = ",".join(str(v) for v in row["s"])
             print(f"({label}): {row.get('value', row.get('error'))}")
     else:
+        import json
         print(json.dumps(rows, indent=2, sort_keys=True))
     return EXIT_OK
 

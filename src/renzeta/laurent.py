@@ -136,7 +136,7 @@ def _q_normal(nums, den) -> tuple:
     """The canonical pair: gcd(den, *nums) divided out."""
     g = math.gcd(den, *nums)
     if g != 1:
-        return tuple(x // g for x in nums), den // g
+        return tuple([x // g for x in nums]), den // g
     return tuple(nums), den
 
 

@@ -123,7 +123,7 @@ delta = 0, need the field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -197,8 +197,9 @@ def _ring_for(word):
 # ---------------------------------------------------------------------------
 # The multinomial factorization.
 
-@dataclass(frozen=True)
-class ExpansionPlan:
+class ExpansionPlan(namedtuple(
+        "ExpansionPlan",
+        "cumulative_directions slot_exponents multiplicity")):
     """One monomial of the factorized sum.
 
     slot_exponents[l] is the power of j_l in the monomial, and each
@@ -206,9 +207,7 @@ class ExpansionPlan:
     monomial's coefficient.  The slot exponents always resum to sum_i m_i.
     """
 
-    cumulative_directions: tuple
-    slot_exponents: tuple
-    multiplicity: int
+    __slots__ = ()
 
 
 def _compositions(total: int, slots: int):

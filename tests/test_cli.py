@@ -562,6 +562,25 @@ def test_closed_output_pipe():
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+def test_import_loads_no_other_stdlib_module():
+    """Past argparse, fractions and random, importing the CLI loads only
+    the package and __future__: no dataclasses (with its inspect, ast and
+    dis) and no json, which only a JSON branch imports."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = (
+        "import sys, argparse, fractions, random\n"
+        "before = set(sys.modules)\n"
+        "import renzeta.cli\n"
+        "print(sorted(m for m in set(sys.modules) - before\n"
+        "             if m.split('.')[0] != 'renzeta'))\n")
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env,
+        capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "['__future__']\n"
+
+
 def test_one_parser_serves_every_call(capsys, monkeypatch):
     """main parses with one parser per process; a sequence of calls with a
     usage error in the middle prints what fresh processes print."""

@@ -2,6 +2,8 @@
 keep them exactly, with the way they refuse a malformed count and the
 way the scalar types coerce a rational."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -131,3 +133,56 @@ def test_scalar_types_do_not_mix():
         with pytest.raises(TypeError):
             op()
     assert t != delta
+
+
+# Each record with its fields in order, and its repr text as the frozen
+# dataclasses printed it.
+RECORDS = [
+    pytest.param(
+        birkhoff.PrecisionBudget,
+        {"requested_precision": 3, "max_pole_depth": 2},
+        "PrecisionBudget(requested_precision=3, max_pole_depth=2)",
+        id="PrecisionBudget"),
+    pytest.param(
+        birkhoff.CheckReport,
+        {"word": "(0,0)", "check": "differential-plus", "passed": True,
+         "lhs": "1/2", "rhs": "1/2"},
+        "CheckReport(word='(0,0)', check='differential-plus', passed=True,"
+        " lhs='1/2', rhs='1/2')",
+        id="CheckReport"),
+    pytest.param(
+        mzv.ExpansionPlan,
+        {"cumulative_directions": (Fraction(1), Fraction(3, 2)),
+         "slot_exponents": (1, 0), "multiplicity": 2},
+        "ExpansionPlan(cumulative_directions=(Fraction(1, 1), "
+        "Fraction(3, 2)), slot_exponents=(1, 0), multiplicity=2)",
+        id="ExpansionPlan"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", RECORDS)
+def test_record_behaviour(cls, fields, text):
+    by_position = cls(*fields.values())
+    by_keyword = cls(**fields)
+    assert by_position == by_keyword
+    assert hash(by_position) == hash(by_keyword)
+    assert repr(by_keyword) == text
+    for name, value in fields.items():
+        assert getattr(by_keyword, name) == value
+        with pytest.raises(AttributeError):
+            setattr(by_keyword, name, value)
+    with pytest.raises(AttributeError):
+        by_keyword.unknown = 1
+    for copied in (pickle.loads(pickle.dumps(by_keyword)),
+                   copy.copy(by_keyword), copy.deepcopy(by_keyword)):
+        assert type(copied) is cls and copied == by_keyword
+        assert repr(copied) == text
+
+
+def test_check_report_to_json():
+    report = birkhoff.CheckReport(
+        word="(0,0)", check="differential-plus", passed=False, lhs="1/2",
+        rhs="1/3")
+    assert report.to_json() == {
+        "word": "(0,0)", "check": "differential-plus", "pass": False,
+        "lhs": "1/2", "rhs": "1/3"}
